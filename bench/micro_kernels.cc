@@ -74,8 +74,13 @@ void BM_GemmTransA(benchmark::State& state) {
 }
 void GemmTransAArgs(benchmark::internal::Benchmark* bench) {
   bench->ArgNames({"threads", "n", "k", "m"});
-  for (const int64_t threads : kThreadCounts) {
-    bench->Args({threads, 1024, 400, 64});
+  // A small shape, then CifarNet conv2 and conv1 at batch 32.
+  for (const auto shape : {std::array<int64_t, 3>{1024, 400, 64},
+                           std::array<int64_t, 3>{8192, 800, 32},
+                           std::array<int64_t, 3>{32768, 75, 32}}) {
+    for (const int64_t threads : kThreadCounts) {
+      bench->Args({threads, shape[0], shape[1], shape[2]});
+    }
   }
 }
 BENCHMARK(BM_GemmTransA)->Apply(GemmTransAArgs);
@@ -95,8 +100,13 @@ void BM_GemmTransB(benchmark::State& state) {
 }
 void GemmTransBArgs(benchmark::internal::Benchmark* bench) {
   bench->ArgNames({"threads", "n", "k", "m"});
-  for (const int64_t threads : kThreadCounts) {
-    bench->Args({threads, 1024, 400, 64});
+  // A small shape, then CifarNet conv2 and conv1 at batch 32.
+  for (const auto shape : {std::array<int64_t, 3>{1024, 400, 64},
+                           std::array<int64_t, 3>{8192, 800, 32},
+                           std::array<int64_t, 3>{32768, 75, 32}}) {
+    for (const int64_t threads : kThreadCounts) {
+      bench->Args({threads, shape[0], shape[1], shape[2]});
+    }
   }
 }
 BENCHMARK(BM_GemmTransB)->Apply(GemmTransBArgs);

@@ -223,6 +223,8 @@ void ClusterReuseCache::EnsureTableCapacity(Block& block) {
     block.slots[static_cast<size_t>(slot)].entry = static_cast<int32_t>(e);
     block.slots[static_cast<size_t>(slot)].sig =
         block.entry_sig[static_cast<size_t>(e)];
+    // Eviction's backward-shift deletion starts from this back-pointer.
+    block.entry_slot[static_cast<size_t>(e)] = static_cast<int32_t>(slot);
   }
 }
 

@@ -303,7 +303,8 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
                                           geo.out_width()}));
   float* dy = arena_.AllocFloats(n * m);
   NchwToRows(grad_output, dy);
-  float* dx_cols = arena_.AllocFloats(n * k);
+  Tensor grad_input(Shape({cached_batch_, config_.in_channels,
+                           config_.in_height, config_.in_width}));
 
   if (exact_backward_ || !reuse_.enabled) {
     // Ablation path: exact gradients from the cached unfolded input.
@@ -312,7 +313,8 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
         << "exact_backward requires the unfolded input cached in Forward";
     GemmTransA(cached_cols_data_, dy, grad_weight_.data(), k, n, m);
     ColumnSumsInto(dy, n, m, grad_bias_.data());
-    GemmTransB(dy, weight_.data(), dx_cols, n, m, k);
+    ConvBackwardInput(geo, dy, weight_.data(), m, &arena_,
+                      grad_input.data());
     const double seconds = timer.ElapsedSeconds();
     stats_.backward_seconds += seconds;
     stats_.macs_executed += 2.0 * static_cast<double>(n) * k * m;
@@ -321,6 +323,7 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
         .histogram(metric_prefix_ + "backward_seconds")
         ->Record(seconds);
   } else {
+    float* dx_cols = arena_.AllocFloats(n * k);
     BackwardReuseStats bstats;
     ReuseBackwardInto(cached_clustering_, weight_, dy, &arena_,
                       grad_weight_.data(), grad_bias_.data(), dx_cols,
@@ -331,11 +334,8 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
     MetricsRegistry::Global()
         .histogram(metric_prefix_ + "backward_seconds")
         ->Record(bstats.seconds);
+    Col2Im(geo, dx_cols, grad_input.data());
   }
-
-  Tensor grad_input(Shape({cached_batch_, config_.in_channels,
-                           config_.in_height, config_.in_width}));
-  Col2Im(geo, dx_cols, grad_input.data());
   PublishWorkspaceMetrics();
   return grad_input;
 }

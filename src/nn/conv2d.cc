@@ -56,6 +56,40 @@ void NchwToRows(const Tensor& nchw, float* out) {
   }
 }
 
+void ConvBackwardInput(const ConvGeometry& geo, const float* dy,
+                       const float* weight, int64_t out_channels,
+                       WorkspaceArena* arena, float* grad_input) {
+  // Enough groups to keep a few threads busy; at most one per image.
+  constexpr int64_t kMaxGroups = 8;
+  const int64_t m = out_channels;
+  const int64_t k = geo.unfolded_cols();
+  const int64_t rows_per_image = geo.rows_per_image();
+  const int64_t img_size = geo.in_channels * geo.in_height * geo.in_width;
+  const int64_t groups = std::min(geo.batch, kMaxGroups);
+  // Up to four L2TileRows tiles (~768 KiB): a whole image at CifarNet
+  // shapes, so its dx rows stay in L2 from the GEMM to the fold.
+  const int64_t tile_rows = std::min(rows_per_image, 4 * L2TileRows(k));
+
+  float* weight_t = arena->AllocFloats(m * k);  // W^T: [M, K]
+  Transpose(weight, k, m, weight_t);
+  float* tiles = arena->AllocFloats(groups * tile_rows * k);
+  ParallelFor(groups, 1, [&](int64_t g_begin, int64_t g_end) {
+    for (int64_t g = g_begin; g < g_end; ++g) {
+      float* tile = tiles + g * tile_rows * k;
+      for (int64_t img = g * geo.batch / groups;
+           img < (g + 1) * geo.batch / groups; ++img) {
+        std::fill_n(grad_input + img * img_size, img_size, 0.0f);
+        for (int64_t r = 0; r < rows_per_image; r += tile_rows) {
+          const int64_t row = img * rows_per_image + r;
+          const int64_t rows = std::min(tile_rows, rows_per_image - r);
+          Gemm(dy + row * m, weight_t, tile, rows, m, k);
+          Col2ImRows(geo, tile, row, row + rows, grad_input);
+        }
+      }
+    }
+  });
+}
+
 Conv2d::Conv2d(std::string name, const Conv2dConfig& config, Rng* rng)
     : name_(std::move(name)), config_(config) {
   const int64_t k =
@@ -146,12 +180,10 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   GemmTransA(cached_cols_.data(), dy, grad_weight_.data(), k, n, m);
   ColumnSumsInto(dy, n, m, grad_bias_.data());
 
-  // dx_cols = dy * W^T  (Eq. 3), folded back through col2im.
-  float* dx_cols = arena_.AllocFloats(n * k);
-  GemmTransB(dy, weight_.data(), dx_cols, n, m, k);
+  // dx = col2im(dy * W^T)  (Eq. 3), folded tile by tile.
   Tensor grad_input(Shape(
       {cached_batch_, config_.in_channels, config_.in_height, config_.in_width}));
-  Col2Im(geo, dx_cols, grad_input.data());
+  ConvBackwardInput(geo, dy, weight_.data(), m, &arena_, grad_input.data());
   return grad_input;
 }
 

@@ -43,6 +43,18 @@ Tensor NchwToRows(const Tensor& nchw);
 /// \brief NchwToRows into a caller-owned [N, M] buffer (fully overwritten).
 void NchwToRows(const Tensor& nchw, float* out);
 
+/// \brief grad_input = Col2Im(dy * W^T), the input gradient of a conv
+/// layer (Eq. 3), without building the N x K product. dy is [N, M] rows,
+/// W is [K, M], grad_input is [Nb, Ic, Ih, Iw] and fully overwritten.
+/// Images run in a fixed number of groups, each with one arena tile:
+/// a tile's rows of dy * W^T are computed by Gemm against W^T (transposed
+/// once) and folded straight into the image's slab. Rows are independent
+/// and each image folds its rows in order, so the result is bitwise
+/// GemmTransB followed by Col2Im, at any thread count.
+void ConvBackwardInput(const ConvGeometry& geo, const float* dy,
+                       const float* weight, int64_t out_channels,
+                       WorkspaceArena* arena, float* grad_input);
+
 /// \brief Standard convolution layer.
 class Conv2d : public Layer {
  public:

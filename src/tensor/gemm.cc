@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "tensor/simd.h"
 #include "util/parallel.h"
@@ -10,99 +11,135 @@ namespace adr {
 
 namespace {
 
-// Block sizes tuned for a typical 32 KiB L1 / 256 KiB L2: the (i,k) panel of
-// A and the (k,j) panel of B both fit in L2 across the inner loops.
-constexpr int64_t kBlockM = 64;
+// Cache blocking: a kBlockM x kBlockK panel of A (48 KiB) and a
+// kBlockK x kBlockN panel of B (128 KiB) stay in L2 while the microkernel
+// sweeps them. kBlockK also fixes the accumulation order (see gemm.h).
+constexpr int64_t kBlockM = 96;
 constexpr int64_t kBlockK = 128;
 constexpr int64_t kBlockN = 256;
 
-// Computes C rows [row_begin, row_end): the serial blocked kernel over a
-// row slice, with each cache block handed to the backend's register-tiled
-// microkernel. Each row's k-blocks accumulate in ascending order and the
-// microkernel's per-element order depends only on the shape, so any row
-// partitioning yields bit-identical results for a fixed backend.
-void GemmRowSlice(const simd::Kernels& kernels, const float* a,
-                  const float* b, float* c, int64_t row_begin,
-                  int64_t row_end, int64_t k, int64_t n, bool accumulate) {
-  if (!accumulate) {
-    std::memset(c + row_begin * n, 0,
-                sizeof(float) * static_cast<size_t>((row_end - row_begin) * n));
+// k-split policy for GemmTransA: split only when C has fewer than
+// kSplitTasks tiles, into at most kMaxSplits pieces of at least
+// kMinSplitK each. Shape-derived, so results never depend on threads.
+constexpr int64_t kSplitTasks = 16;
+constexpr int64_t kMinSplitK = 8 * kBlockK;
+constexpr int64_t kMaxSplits = 8;
+
+int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
+
+// C[m x n] (+)= op(A)[m x k] * B[k x n] with op(A)'s element (i, kk) at
+// a[i * rs_a + kk * cs_a]; B and C row-major and contiguous. Work is split
+// into (k piece, row panel, column panel) tasks; every task writes a
+// disjoint region (of C, or of its piece's partial buffer), and pieces
+// are summed in piece order, so the result is independent of how tasks
+// map onto threads.
+void BlockedGemm(const float* a, int64_t rs_a, int64_t cs_a, const float* b,
+                float* c, int64_t m, int64_t k, int64_t n, bool accumulate,
+                int64_t max_pieces) {
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    if (!accumulate) {
+      std::memset(c, 0, sizeof(float) * static_cast<size_t>(m * n));
+    }
+    return;
   }
-  for (int64_t i0 = row_begin; i0 < row_end; i0 += kBlockM) {
-    const int64_t i1 = std::min(i0 + kBlockM, row_end);
-    for (int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const int64_t k1 = std::min(k0 + kBlockK, k);
-      for (int64_t j0 = 0; j0 < n; j0 += kBlockN) {
-        const int64_t j1 = std::min(j0 + kBlockN, n);
-        kernels.gemm_block(a + i0 * k + k0, k, b + k0 * n + j0, n,
-                           c + i0 * n + j0, n, i1 - i0, k1 - k0, j1 - j0);
+  const simd::Kernels& kernels = simd::Active();
+  const int64_t row_panels = CeilDiv(m, kBlockM);
+  const int64_t col_panels = CeilDiv(n, kBlockN);
+  const int64_t tiles = row_panels * col_panels;
+  // Pieces are whole kBlockK blocks, so block boundaries stay global.
+  const int64_t piece_k = CeilDiv(CeilDiv(k, max_pieces), kBlockK) * kBlockK;
+  const int64_t pieces = CeilDiv(k, piece_k);
+
+  // A single piece writes C directly; several write per-piece partials.
+  // (Captured by pointer: a thread_local named inside the lambdas would
+  // resolve to each pool thread's own copy.)
+  thread_local std::vector<float> partials;
+  float* out = c;
+  if (pieces > 1) {
+    partials.resize(static_cast<size_t>(pieces * m * n));
+    out = partials.data();
+  }
+  const int64_t task_cost =
+      std::min(m, kBlockM) * std::min(n, kBlockN) * std::min(k, piece_k);
+  ParallelFor(pieces * tiles, GrainForCost(task_cost),
+              [&](int64_t begin, int64_t end) {
+    for (int64_t t = begin; t < end; ++t) {
+      const int64_t piece = t / tiles;
+      const int64_t i0 = (t % tiles) / col_panels * kBlockM;
+      const int64_t j0 = (t % tiles) % col_panels * kBlockN;
+      const int64_t rows = std::min(kBlockM, m - i0);
+      const int64_t cols = std::min(kBlockN, n - j0);
+      const int64_t k_begin = piece * piece_k;
+      const int64_t k_end = std::min(k, k_begin + piece_k);
+      float* c_tile = out + piece * m * n + i0 * n + j0;
+      for (int64_t k0 = k_begin; k0 < k_end; k0 += kBlockK) {
+        kernels.gemm_block(a + i0 * rs_a + k0 * cs_a, rs_a, cs_a,
+                           b + k0 * n + j0, n, c_tile, n, rows,
+                           std::min(kBlockK, k_end - k0), cols,
+                           (accumulate && pieces == 1) || k0 > k_begin);
       }
     }
-  }
+  });
+  if (pieces == 1) return;
+
+  // C (+)= partial_0 + partial_1 + ... in piece order, elementwise.
+  const int64_t total = m * n;
+  ParallelFor(total, GrainForCost(pieces), [&](int64_t begin, int64_t end) {
+    float* sum = out + begin;
+    for (int64_t p = 1; p < pieces; ++p) {
+      kernels.add(out + p * total + begin, sum, end - begin);
+    }
+    if (accumulate) {
+      kernels.add(sum, c + begin, end - begin);
+    } else {
+      kernels.copy(sum, c + begin, end - begin);
+    }
+  });
+}
+
+// Pieces for GemmTransA: enough to give small-output, long-reduction
+// products (a conv layer's dW) kSplitTasks tasks.
+int64_t SplitPieces(int64_t m, int64_t k, int64_t n) {
+  const int64_t tiles = CeilDiv(m, kBlockM) * CeilDiv(n, kBlockN);
+  if (tiles >= kSplitTasks) return 1;
+  return std::clamp<int64_t>(std::min(CeilDiv(kSplitTasks, tiles),
+                                      k / kMinSplitK),
+                             1, kMaxSplits);
 }
 
 }  // namespace
 
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool accumulate) {
-  // Row-blocked parallelism: each chunk owns a disjoint slice of C rows.
-  // Chunks are multiples of kBlockM so the cache blocking inside a slice
-  // is unchanged from the serial kernel. The backend is resolved once on
-  // the calling thread so an override active here covers the whole call.
-  const simd::Kernels& kernels = simd::Active();
-  const int64_t grain =
-      std::max(kBlockM, (GrainForCost(k * n) + kBlockM - 1) / kBlockM * kBlockM);
-  ParallelFor(m, grain, [&](int64_t row_begin, int64_t row_end) {
-    GemmRowSlice(kernels, a, b, c, row_begin, row_end, k, n, accumulate);
-  });
+  BlockedGemm(a, k, 1, b, c, m, k, n, accumulate, 1);
 }
 
 void GemmTransA(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n, bool accumulate) {
-  // A is stored KxM; iterate over rows of A (the k index) so both A and B
-  // are streamed sequentially. Parallelized over slices of C rows (the i
-  // index): every chunk reads all of A and B but writes a disjoint slice,
-  // and each row's k-accumulation order is chunk-independent.
-  const simd::Kernels& kernels = simd::Active();
-  const int64_t grain =
-      std::max(kBlockM, (GrainForCost(k * n) + kBlockM - 1) / kBlockM * kBlockM);
-  ParallelFor(m, grain, [&](int64_t row_begin, int64_t row_end) {
-    if (!accumulate) {
-      std::memset(c + row_begin * n, 0,
-                  sizeof(float) *
-                      static_cast<size_t>((row_end - row_begin) * n));
-    }
-    for (int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const int64_t k1 = std::min(k0 + kBlockK, k);
-      for (int64_t i0 = row_begin; i0 < row_end; i0 += kBlockM) {
-        const int64_t i1 = std::min(i0 + kBlockM, row_end);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          const float* a_row = a + kk * m;
-          const float* b_row = b + kk * n;
-          for (int64_t i = i0; i < i1; ++i) {
-            const float a_ki = a_row[i];
-            if (a_ki == 0.0f) continue;
-            kernels.axpy(a_ki, b_row, c + i * n, n);
-          }
-        }
-      }
-    }
-  });
+  // A is stored K x M: op(A)'s row i is column i of the stored matrix.
+  BlockedGemm(a, 1, m, b, c, m, k, n, accumulate, SplitPieces(m, k, n));
 }
 
 void GemmTransB(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n, bool accumulate) {
-  // B is stored NxK; each C[i][j] is a dot product of contiguous rows.
-  // Rows of C are independent, so row slices parallelize trivially.
-  const simd::Kernels& kernels = simd::Active();
-  ParallelFor(m, GrainForCost(k * n), [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* a_row = a + i * k;
-      float* c_row = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float sum = kernels.dot(a_row, b + j * k, k);
-        c_row[j] = accumulate ? c_row[j] + sum : sum;
-      }
+  // B is stored N x K: transpose it once into the K x N layout the
+  // microkernel streams (in every caller it is a small weight matrix).
+  thread_local std::vector<float> packed;
+  packed.resize(static_cast<size_t>(k * n));
+  Transpose(b, n, k, packed.data());
+  Gemm(a, packed.data(), c, m, k, n, accumulate);
+}
+
+void Transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
+  // Blocks of source rows per chunk; each chunk writes disjoint columns.
+  constexpr int64_t kRowBlock = 64;
+  ParallelFor(CeilDiv(rows, kRowBlock), GrainForCost(kRowBlock * cols),
+              [&](int64_t begin, int64_t end) {
+    const int64_t r_end = std::min(rows, end * kRowBlock);
+    for (int64_t r = begin * kRowBlock; r < r_end; ++r) {
+      const float* row = src + r * cols;
+      for (int64_t j = 0; j < cols; ++j) dst[j * rows + r] = row[j];
     }
   });
 }

@@ -1,9 +1,18 @@
-// Cache-blocked GEMM kernels, parallelized over disjoint row slices of C
-// through the shared thread pool (util/parallel.h). These are the
-// computational core that deep reuse removes work from, so their absolute
-// efficiency sets the denominator of every reported saving. Results are
-// bit-identical for any thread count: chunk boundaries depend only on the
-// problem shape and each output row's accumulation order is fixed.
+// GEMM: one register-blocked microkernel (simd::Kernels::gemm_block)
+// under one cache-blocked loop nest serves the forward product and both
+// backward products. The loop nest splits C into (row panel x column panel)
+// tiles and, for GemmTransA's small-output, long-reduction shapes, also
+// splits k into a shape-derived number of pieces summed in piece order.
+// These kernels are the computation deep reuse removes work from, so
+// their efficiency sets the denominator of every reported saving.
+//
+// Numerics (DESIGN.md section 6.3). Every output element sums its
+// products in blocks of 128 consecutive k, each block accumulated from
+// zero in registers in ascending k and then added to C in ascending block
+// order. GemmTransA with k split adds the pieces' partial sums in piece
+// order. GemmTransB transposes B and runs Gemm, so it is bitwise
+// Gemm(a, transpose(b)). For a fixed backend every result is
+// bit-identical for any thread count.
 
 #ifndef ADR_TENSOR_GEMM_H_
 #define ADR_TENSOR_GEMM_H_
@@ -26,6 +35,11 @@ void GemmTransA(const float* a, const float* b, float* c, int64_t m,
 /// KxN), C is MxN.
 void GemmTransB(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n, bool accumulate = false);
+
+/// \brief dst (cols x rows) = src (rows x cols)^T, row-major. Callers
+/// that multiply by the same B^T many times transpose it once and call
+/// Gemm, which is bitwise what GemmTransB would compute.
+void Transpose(const float* src, int64_t rows, int64_t cols, float* dst);
 
 /// \brief Naive triple-loop reference used to validate the blocked kernels.
 void GemmReference(const float* a, const float* b, float* c, int64_t m,

@@ -74,6 +74,14 @@ void Im2Col(const ConvGeometry& geo, const float* input, float* out);
 void Col2Im(const ConvGeometry& geo, const float* grad_cols,
             float* grad_input);
 
+/// \brief Accumulates rows [row_begin, row_end) of an unfolded gradient,
+/// stored contiguously in `rows` ((row_end - row_begin) x K), into the
+/// NCHW `grad_input` (not zeroed). Col2Im is this over each image's rows
+/// in ascending order, so folding an image's rows tile by tile in order
+/// performs the same additions in the same order.
+void Col2ImRows(const ConvGeometry& geo, const float* rows,
+                int64_t row_begin, int64_t row_end, float* grad_input);
+
 /// \brief Rows per tile for the L2-resident tiled pipelines: a tile of
 /// `row_width` floats per row should occupy roughly 192 KiB (leaving the
 /// rest of a typical 256 KiB+ L2 for hash scratch and the weight panel),

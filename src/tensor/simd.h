@@ -1,7 +1,7 @@
 // Portable SIMD kernel layer for the reuse hot paths.
 //
 // Every dense inner loop the library spends its time in (the GEMM
-// microkernels, LSH projection dot products, row normalization, the
+// microkernel, row normalization, the
 // cluster gather/scatter adds and the backward sum/average reductions)
 // funnels through the small table of primitives below. The table has one
 // implementation per instruction set:
@@ -44,12 +44,8 @@ struct Kernels {
   const char* name = "scalar";  ///< "scalar", "avx2" or "neon"
   int width = 1;                ///< float lanes per vector register
 
-  /// sum_i a[i] * b[i]
-  float (*dot)(const float* a, const float* b, int64_t n);
   /// sum_i a[i]^2
   float (*squared_norm)(const float* a, int64_t n);
-  /// y[i] += s * x[i]
-  void (*axpy)(float s, const float* x, float* y, int64_t n);
   /// y[i] += x[i]
   void (*add)(const float* x, float* y, int64_t n);
   /// y[i] = x[i]; bitwise-exact on every backend (the cluster-cache
@@ -58,14 +54,17 @@ struct Kernels {
   void (*copy)(const float* x, float* y, int64_t n);
   /// y[i] *= s
   void (*scale)(float s, float* y, int64_t n);
-  /// C[m x n] += A[m x k] * B[k x n]; row-major with leading dimensions
-  /// lda/ldb/ldc >= the respective row lengths. The register-blocked FMA
-  /// microkernel behind Gemm/GemmTransA/GemmTransB's cache blocks. Each
-  /// output element accumulates its k-products in ascending-k order, so
-  /// for a fixed backend the result depends only on the operands.
-  void (*gemm_block)(const float* a, int64_t lda, const float* b,
-                     int64_t ldb, float* c, int64_t ldc, int64_t m,
-                     int64_t k, int64_t n);
+  /// C[m x n] (+)= A[m x k] * B[k x n]: the register-blocked FMA
+  /// microkernel behind every GEMM (tensor/gemm.h). A's element (i, kk)
+  /// is a[i * rs_a + kk * cs_a], so A and A^T layouts both stream without
+  /// packing; B and C are row-major with leading dimensions ldb/ldc >= n.
+  /// Each output element sums its k products from zero in ascending-k
+  /// order, then is added to C (accumulate) or stored as 0 + sum, which is
+  /// bitwise what zero-filling C and accumulating gives. For a fixed
+  /// backend the result depends only on the operands.
+  void (*gemm_block)(const float* a, int64_t rs_a, int64_t cs_a,
+                     const float* b, int64_t ldb, float* c, int64_t ldc,
+                     int64_t m, int64_t k, int64_t n, bool accumulate);
 };
 
 /// \brief The scalar backend. Always available.

@@ -81,28 +81,6 @@ struct NeonOps {
 #endif  // __ARM_NEON
 
 template <typename Ops>
-float DotImpl(const float* a, const float* b, int64_t n) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  // Two accumulator chains hide FMA latency; combined once at the end so
-  // the reduction order is fixed by n alone.
-  Reg acc0 = Ops::Zero();
-  Reg acc1 = Ops::Zero();
-  int64_t i = 0;
-  for (; i + 2 * kW <= n; i += 2 * kW) {
-    acc0 = Ops::Fma(Ops::Load(a + i), Ops::Load(b + i), acc0);
-    acc1 = Ops::Fma(Ops::Load(a + i + kW), Ops::Load(b + i + kW), acc1);
-  }
-  if (i + kW <= n) {
-    acc0 = Ops::Fma(Ops::Load(a + i), Ops::Load(b + i), acc0);
-    i += kW;
-  }
-  float sum = Ops::ReduceAdd(Ops::Add(acc0, acc1));
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-template <typename Ops>
 float SquaredNormImpl(const float* a, int64_t n) {
   using Reg = typename Ops::Reg;
   constexpr int64_t kW = Ops::kWidth;
@@ -126,20 +104,7 @@ float SquaredNormImpl(const float* a, int64_t n) {
 }
 
 template <typename Ops>
-void AxpyImpl(float s, const float* x, float* y, int64_t n) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  const Reg sv = Ops::Broadcast(s);
-  int64_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    Ops::Store(y + i, Ops::Fma(sv, Ops::Load(x + i), Ops::Load(y + i)));
-  }
-  for (; i < n; ++i) y[i] += s * x[i];
-}
-
-template <typename Ops>
 void AddImpl(const float* x, float* y, int64_t n) {
-  using Reg = typename Ops::Reg;
   constexpr int64_t kW = Ops::kWidth;
   int64_t i = 0;
   for (; i + kW <= n; i += kW) {
@@ -170,82 +135,113 @@ void ScaleImpl(float s, float* y, int64_t n) {
   for (; i < n; ++i) y[i] *= s;
 }
 
-// One tile of R rows of C: C[R x n] += A[R x k] * B[k x n]. Columns run
-// in tiles of two registers (the hot loop: one broadcast of A per row, two
-// FMAs reusing the loaded B registers across all R rows), then one
-// register, then a scalar tail. Accumulators live in registers across the
-// whole k loop and are added to C once, so each element's accumulation
-// order depends only on k.
-template <typename Ops, int R>
-void GemmRowTile(const float* a, int64_t lda, const float* b, int64_t ldb,
-                 float* c, int64_t ldc, int64_t k, int64_t n) {
+// Rows of C per microkernel tile. 6 rows x 2 registers keeps 12
+// accumulators, the two B registers and one broadcast inside the 16
+// vector registers of AVX2.
+constexpr int kGemmRows = 6;
+
+// C[R x V*kWidth] (=|+=) A[R x k] * B[k x V*kWidth]: R rows against V
+// vector registers of columns. The accumulators stay in registers across
+// the whole k loop, start from zero, take one FMA per k in ascending
+// order, and are added to C (or to zero when overwriting) once at the
+// end, so each element's arithmetic depends only on k.
+template <typename Ops, int R, int V>
+inline void GemmTile(const float* a, int64_t rs_a, int64_t cs_a,
+                     const float* b, int64_t ldb, float* c, int64_t ldc,
+                     int64_t k, bool accumulate) {
   using Reg = typename Ops::Reg;
+  constexpr int64_t kW = Ops::kWidth;
+  Reg acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = Ops::Zero();
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* a_k = a + kk * cs_a;
+    const float* b_k = b + kk * ldb;
+    Reg bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) bv[v] = Ops::Load(b_k + v * kW);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const Reg av = Ops::Broadcast(a_k[r * rs_a]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) acc[r][v] = Ops::Fma(av, bv[v], acc[r][v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      float* c_v = c + r * ldc + v * kW;
+      const Reg base = accumulate ? Ops::Load(c_v) : Ops::Zero();
+      Ops::Store(c_v, Ops::Add(base, acc[r][v]));
+    }
+  }
+}
+
+// One band of R rows of C across all n columns: tiles of two registers,
+// then one register, then a scalar tail. The tail follows the same
+// per-element order as the vector tiles.
+template <typename Ops, int R>
+void GemmRowBand(const float* a, int64_t rs_a, int64_t cs_a, const float* b,
+                 int64_t ldb, float* c, int64_t ldc, int64_t k, int64_t n,
+                 bool accumulate) {
   constexpr int64_t kW = Ops::kWidth;
   int64_t j = 0;
   for (; j + 2 * kW <= n; j += 2 * kW) {
-    Reg acc0[R];
-    Reg acc1[R];
-    for (int r = 0; r < R; ++r) {
-      acc0[r] = Ops::Zero();
-      acc1[r] = Ops::Zero();
-    }
-    const float* b_col = b + j;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const Reg b0 = Ops::Load(b_col + kk * ldb);
-      const Reg b1 = Ops::Load(b_col + kk * ldb + kW);
-      for (int r = 0; r < R; ++r) {
-        const Reg av = Ops::Broadcast(a[r * lda + kk]);
-        acc0[r] = Ops::Fma(av, b0, acc0[r]);
-        acc1[r] = Ops::Fma(av, b1, acc1[r]);
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      float* c_row = c + r * ldc + j;
-      Ops::Store(c_row, Ops::Add(Ops::Load(c_row), acc0[r]));
-      Ops::Store(c_row + kW, Ops::Add(Ops::Load(c_row + kW), acc1[r]));
-    }
+    GemmTile<Ops, R, 2>(a, rs_a, cs_a, b + j, ldb, c + j, ldc, k, accumulate);
   }
-  for (; j + kW <= n; j += kW) {
-    Reg acc[R];
-    for (int r = 0; r < R; ++r) acc[r] = Ops::Zero();
-    const float* b_col = b + j;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const Reg bv = Ops::Load(b_col + kk * ldb);
-      for (int r = 0; r < R; ++r) {
-        acc[r] = Ops::Fma(Ops::Broadcast(a[r * lda + kk]), bv, acc[r]);
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      float* c_row = c + r * ldc + j;
-      Ops::Store(c_row, Ops::Add(Ops::Load(c_row), acc[r]));
-    }
+  if (j + kW <= n) {
+    GemmTile<Ops, R, 1>(a, rs_a, cs_a, b + j, ldb, c + j, ldc, k, accumulate);
+    j += kW;
   }
   for (; j < n; ++j) {
+    // R independent chains, so the FMA latency overlaps across rows.
+    float acc[R];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) acc[r] = 0.0f;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float* a_k = a + kk * cs_a;
+      const float b_kj = b[kk * ldb + j];
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) acc[r] += a_k[r * rs_a] * b_kj;
+    }
+#pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
-      float acc = 0.0f;
-      const float* a_row = a + r * lda;
-      for (int64_t kk = 0; kk < k; ++kk) acc += a_row[kk] * b[kk * ldb + j];
-      c[r * ldc + j] += acc;
+      float* c_rj = c + r * ldc + j;
+      *c_rj = (accumulate ? *c_rj : 0.0f) + acc[r];
     }
   }
 }
 
 template <typename Ops>
-void GemmBlockImpl(const float* a, int64_t lda, const float* b, int64_t ldb,
-                   float* c, int64_t ldc, int64_t m, int64_t k, int64_t n) {
+void GemmBlockImpl(const float* a, int64_t rs_a, int64_t cs_a, const float* b,
+                   int64_t ldb, float* c, int64_t ldc, int64_t m, int64_t k,
+                   int64_t n, bool accumulate) {
   int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    GemmRowTile<Ops, 4>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k, n);
+  for (; i + kGemmRows <= m; i += kGemmRows) {
+    GemmRowBand<Ops, kGemmRows>(a + i * rs_a, rs_a, cs_a, b, ldb,
+                                c + i * ldc, ldc, k, n, accumulate);
   }
+  const float* a_i = a + i * rs_a;
+  float* c_i = c + i * ldc;
   switch (m - i) {
+    case 5:
+      GemmRowBand<Ops, 5>(a_i, rs_a, cs_a, b, ldb, c_i, ldc, k, n, accumulate);
+      break;
+    case 4:
+      GemmRowBand<Ops, 4>(a_i, rs_a, cs_a, b, ldb, c_i, ldc, k, n, accumulate);
+      break;
     case 3:
-      GemmRowTile<Ops, 3>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k, n);
+      GemmRowBand<Ops, 3>(a_i, rs_a, cs_a, b, ldb, c_i, ldc, k, n, accumulate);
       break;
     case 2:
-      GemmRowTile<Ops, 2>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k, n);
+      GemmRowBand<Ops, 2>(a_i, rs_a, cs_a, b, ldb, c_i, ldc, k, n, accumulate);
       break;
     case 1:
-      GemmRowTile<Ops, 1>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k, n);
+      GemmRowBand<Ops, 1>(a_i, rs_a, cs_a, b, ldb, c_i, ldc, k, n, accumulate);
       break;
     default:
       break;
@@ -258,9 +254,7 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.isa = isa;
   kernels.name = name;
   kernels.width = Ops::kWidth;
-  kernels.dot = &DotImpl<Ops>;
   kernels.squared_norm = &SquaredNormImpl<Ops>;
-  kernels.axpy = &AxpyImpl<Ops>;
   kernels.add = &AddImpl<Ops>;
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;

@@ -400,6 +400,133 @@ TEST(ClusterCacheEvictionTest, ClearResetsCountersAndKeepsBudgets) {
   EXPECT_EQ(cache.TotalEntries(), 2);
 }
 
+// Budgeted differential: the slab cache and the reference, fed the same
+// stream of lookups and single/batched inserts over three blocks, must
+// agree on every hit, every payload and every eviction. Block 0 fills
+// first, so its table grows through three rehashes (64 -> 128 -> 256 ->
+// 512 slots) before the first eviction, and every later eviction has to
+// find entries that moved in those rehashes.
+TEST(ClusterCacheEvictionTest, BudgetsMatchReferenceAfterRehashes) {
+  constexpr int64_t kLength = 3, kM = 2;
+  const int64_t entry_bytes =
+      (kLength + kM) * static_cast<int64_t>(sizeof(float)) +
+      static_cast<int64_t>(sizeof(LshSignature));
+  struct Budget {
+    int64_t entries;
+    int64_t bytes;
+  };
+  const Budget budgets[] = {{200, 0},
+                            {0, 200 * entry_bytes + entry_bytes / 2},
+                            {220, 200 * entry_bytes}};
+  // Payload of (block, key) at insert `version`; distinct per version so
+  // an overwrite or a mixed-up entry shows.
+  const auto payload = [](int64_t block, uint64_t key, int version) {
+    std::vector<float> v(static_cast<size_t>(kLength + kM));
+    for (size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<float>(block * 100000 + static_cast<int64_t>(key)) +
+             0.25f * static_cast<float>(i) + 1000.0f * version;
+    }
+    return v;
+  };
+  for (const Budget& budget : budgets) {
+    ClusterReuseCache cache;
+    ReferenceClusterCache reference;
+    cache.set_max_entries(budget.entries);
+    cache.set_max_bytes(budget.bytes);
+    reference.set_max_entries(budget.entries);
+    reference.set_max_bytes(budget.bytes);
+    Rng rng(99);
+    int version = 0;
+    // One round: look up `count` keys of `block` drawn from [0, key_range)
+    // and insert the misses (plus a re-insert of one hit) as one batch or
+    // one by one.
+    const auto round = [&](int64_t block, int64_t count, uint64_t key_base,
+                           uint64_t key_range, bool batched) {
+      ++version;
+      std::vector<LshSignature> sigs;
+      for (int64_t i = 0; i < count; ++i) {
+        sigs.push_back(MakeSignature(key_base + rng.NextBounded(key_range),
+                                     static_cast<uint64_t>(block) + 1));
+      }
+      std::vector<int32_t> entries(sigs.size());
+      cache.FindBatch(block, sigs.data(), static_cast<int64_t>(sigs.size()),
+                      entries.data());
+      std::vector<LshSignature> to_insert;
+      std::vector<ReferenceClusterCache::Entry> ref_entries;
+      std::vector<float> reps, outs;
+      for (size_t i = 0; i < sigs.size(); ++i) {
+        const ReferenceClusterCache::Entry* expected =
+            reference.Find(block, sigs[i]);
+        ASSERT_EQ(entries[i] >= 0, expected != nullptr)
+            << "hit/miss differs, round " << version << " i " << i;
+        if (expected != nullptr) {
+          ClusterReuseCache::View view;
+          ASSERT_TRUE(cache.Find(block, sigs[i], &view));
+          reference.Find(block, sigs[i]);  // keep the lookup counts equal
+          ASSERT_TRUE(std::equal(expected->representative.begin(),
+                                 expected->representative.end(),
+                                 view.representative));
+          ASSERT_TRUE(std::equal(expected->output.begin(),
+                                 expected->output.end(), view.output));
+        }
+        const bool seen = std::find(to_insert.begin(), to_insert.end(),
+                                    sigs[i]) != to_insert.end();
+        if (seen || (expected != nullptr && i % 7 != 0)) continue;
+        const std::vector<float> v =
+            payload(block, sigs[i].words[0], version);
+        to_insert.push_back(sigs[i]);
+        ReferenceClusterCache::Entry entry;
+        entry.representative.assign(v.begin(), v.begin() + kLength);
+        entry.output.assign(v.begin() + kLength, v.end());
+        ref_entries.push_back(entry);
+        reps.insert(reps.end(), v.begin(), v.begin() + kLength);
+        outs.insert(outs.end(), v.begin() + kLength, v.end());
+      }
+      if (batched) {
+        std::vector<int32_t> ids(to_insert.size());
+        for (size_t i = 0; i < ids.size(); ++i) {
+          ids[i] = static_cast<int32_t>(i);
+        }
+        cache.InsertBatch(block, to_insert.data(), ids.data(),
+                          static_cast<int64_t>(ids.size()), reps.data(),
+                          kLength, outs.data(), kM);
+        reference.InsertBatch(block, to_insert, std::move(ref_entries));
+      } else {
+        for (size_t i = 0; i < to_insert.size(); ++i) {
+          cache.Insert(block, to_insert[i], reps.data() + i * kLength,
+                       kLength, outs.data() + i * kM, kM);
+          reference.Insert(block, to_insert[i], std::move(ref_entries[i]));
+        }
+      }
+      ASSERT_EQ(cache.evictions(), reference.evictions())
+          << "round " << version;
+      ASSERT_EQ(cache.TotalEntries(), reference.TotalEntries());
+      ASSERT_EQ(cache.ResidentBytes(), reference.ApproximateMemoryBytes());
+    };
+
+    // Fill block 0 with 190 distinct keys (key_range 1 draws exactly
+    // `key`): three rehashes, no eviction.
+    for (uint64_t key = 0; key < 190; ++key) {
+      ASSERT_NO_FATAL_FAILURE(round(0, 1, key, 1, /*batched=*/key % 2 == 0));
+    }
+    ASSERT_EQ(cache.evictions(), 0);
+    ASSERT_GE(cache.GetStats().slots, 512);
+    // Mixed traffic over all three blocks, well past the budget.
+    for (int r = 0; r < 120; ++r) {
+      ASSERT_NO_FATAL_FAILURE(round(r % 3, 40, 0, 400, r % 2 == 0));
+    }
+    EXPECT_GT(cache.evictions(), 500);
+    EXPECT_EQ(cache.lookups(), reference.lookups());
+    EXPECT_EQ(cache.hits(), reference.hits());
+    if (budget.entries > 0) {
+      EXPECT_LE(cache.TotalEntries(), budget.entries);
+    }
+    if (budget.bytes > 0) {
+      EXPECT_LE(cache.ResidentBytes(), budget.bytes);
+    }
+  }
+}
+
 TEST(ClusterCacheTest, StatsCountProbesAndSlots) {
   ClusterReuseCache cache;
   const float rep[] = {1.0f};

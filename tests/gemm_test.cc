@@ -1,13 +1,20 @@
 // Tests for the blocked GEMM kernels against the naive reference,
-// including a parameterized sweep over awkward (non-block-aligned) sizes.
+// including a parameterized sweep over awkward (non-block-aligned) sizes,
+// and Gemm's bitwise contract against the row-slice reference kernel
+// (tests/gemm_row_slice_reference.h) on every backend.
 
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tensor/gemm.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
+#include "tests/gemm_row_slice_reference.h"
+#include "tests/kernel_harness.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -148,6 +155,107 @@ TEST(GemmReferenceTest, OnesMatrixProductEqualsK) {
               << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
         }
       }
+    }
+  }
+}
+
+// Bitwise: the same float bits, not merely close (+0 and -0 differ).
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Shapes for the bitwise tests: the CifarNet conv forward GEMMs (rows cut
+// to keep the test fast; the per-element order does not depend on m),
+// LSH projection shapes with 4- and 2-column scalar tails, and shapes
+// straddling every panel and k-block boundary.
+const std::vector<std::tuple<int64_t, int64_t, int64_t>>& BitwiseShapes() {
+  static const std::vector<std::tuple<int64_t, int64_t, int64_t>> shapes = {
+      {2048, 800, 32}, {4096, 75, 32}, {1000, 25, 12}, {333, 10, 20},
+      {1, 37, 24},     {97, 129, 257}, {5, 300, 3},    {200, 1, 17},
+      {193, 256, 513}, {7, 1, 1}};
+  return shapes;
+}
+
+TEST(GemmBitwiseTest, MatchesRowSliceReferenceOnEveryBackend) {
+  for (const simd::Kernels* backend : testutil::Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    for (const auto& [m, k, n] : BitwiseShapes()) {
+      const std::vector<float> a = testutil::RandomVector(m * k, 11 + m);
+      const std::vector<float> b = testutil::RandomVector(k * n, 12 + n);
+      const std::vector<float> c0 = testutil::RandomVector(m * n, 13 + k);
+      for (const bool accumulate : {false, true}) {
+        std::vector<float> expected = c0;
+        testutil::RowSliceGemm(*backend, a.data(), b.data(), expected.data(),
+                               m, k, n, accumulate);
+        std::vector<float> actual = c0;
+        Gemm(a.data(), b.data(), actual.data(), m, k, n, accumulate);
+        EXPECT_TRUE(BitwiseEqual(actual, expected))
+            << backend->name << " m=" << m << " k=" << k << " n=" << n
+            << " accumulate=" << accumulate;
+      }
+    }
+  }
+}
+
+// The order contract written out in plain scalar code: each 128-deep k
+// block summed from zero in ascending k (multiply, then add), the blocks
+// added to C in order. The scalar backend must reproduce it exactly.
+TEST(GemmBitwiseTest, ScalarBackendKeepsBlockedSumOrder) {
+  simd::ScopedKernelsOverride override_backend(simd::Scalar());
+  for (const auto& [m, k, n] : BitwiseShapes()) {
+    const std::vector<float> a = testutil::RandomVector(m * k, 21 + m);
+    const std::vector<float> b = testutil::RandomVector(k * n, 22 + n);
+    std::vector<float> expected(static_cast<size_t>(m * n));
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        float c = 0.0f;
+        for (int64_t k0 = 0; k0 < k; k0 += 128) {
+          float acc = 0.0f;
+          for (int64_t kk = k0; kk < std::min<int64_t>(k, k0 + 128); ++kk) {
+            acc = a[static_cast<size_t>(i * k + kk)] *
+                      b[static_cast<size_t>(kk * n + j)] +
+                  acc;
+          }
+          c = c + acc;
+        }
+        expected[static_cast<size_t>(i * n + j)] = c;
+      }
+    }
+    std::vector<float> actual(static_cast<size_t>(m * n));
+    Gemm(a.data(), b.data(), actual.data(), m, k, n);
+    EXPECT_TRUE(BitwiseEqual(actual, expected))
+        << "m=" << m << " k=" << k << " n=" << n;
+  }
+}
+
+TEST(GemmTransBTest, IsBitwiseGemmOfTransposedB) {
+  for (const simd::Kernels* backend : testutil::Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    for (const auto& [m, k, n] : BitwiseShapes()) {
+      const std::vector<float> a = testutil::RandomVector(m * k, 31 + m);
+      const std::vector<float> bt = testutil::RandomVector(n * k, 32 + n);
+      std::vector<float> b(static_cast<size_t>(k * n));
+      Transpose(bt.data(), n, k, b.data());
+      std::vector<float> expected(static_cast<size_t>(m * n));
+      Gemm(a.data(), b.data(), expected.data(), m, k, n);
+      std::vector<float> actual(static_cast<size_t>(m * n));
+      GemmTransB(a.data(), bt.data(), actual.data(), m, k, n);
+      EXPECT_TRUE(BitwiseEqual(actual, expected))
+          << backend->name << " m=" << m << " k=" << k << " n=" << n;
+    }
+  }
+}
+
+TEST(TransposeTest, SwapsRowsAndColumns) {
+  const int64_t rows = 130, cols = 7;
+  const std::vector<float> src = testutil::RandomVector(rows * cols, 41);
+  std::vector<float> dst(static_cast<size_t>(rows * cols));
+  Transpose(src.data(), rows, cols, dst.data());
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      ASSERT_EQ(dst[static_cast<size_t>(c * rows + r)],
+                src[static_cast<size_t>(r * cols + c)]);
     }
   }
 }

@@ -29,11 +29,9 @@
 namespace adr {
 namespace {
 
-using testutil::AbsDot;
 using testutil::Backends;
 using testutil::RandomVector;
 using testutil::ReductionTolerance;
-using testutil::RefDot;
 using testutil::RefGemm;
 using testutil::RefSquaredNorm;
 using testutil::RemainderSizes;
@@ -46,19 +44,6 @@ TEST(GoldenKernels, AtLeastScalarIsAvailable) {
   for (const simd::Kernels* backend : Backends()) {
     EXPECT_GE(backend->width, 1) << backend->name;
     EXPECT_NE(backend->name, nullptr);
-  }
-}
-
-TEST(GoldenKernels, DotMatchesDoubleReference) {
-  for (const simd::Kernels* backend : Backends()) {
-    for (const int64_t n : RemainderSizes()) {
-      const std::vector<float> a = RandomVector(n, 100 + n);
-      const std::vector<float> b = RandomVector(n, 200 + n);
-      const double expected = RefDot(a.data(), b.data(), n);
-      const double tolerance = ReductionTolerance(AbsDot(a.data(), b.data(), n), n);
-      EXPECT_NEAR(backend->dot(a.data(), b.data(), n), expected, tolerance)
-          << backend->name << " n=" << n;
-    }
   }
 }
 
@@ -117,73 +102,73 @@ TEST(GoldenKernels, CopyIsBitwiseExactAndLeavesTailUntouched) {
   }
 }
 
-TEST(GoldenKernels, AxpyMatchesScalarWithinUlps) {
-  const float s = -1.73f;
-  for (const simd::Kernels* backend : Backends()) {
-    for (const int64_t n : RemainderSizes()) {
-      const std::vector<float> x = RandomVector(n, 600 + n);
-      const std::vector<float> y = RandomVector(n, 700 + n);
-      std::vector<float> actual = y;
-      backend->axpy(s, x.data(), actual.data(), n);
-      for (int64_t i = 0; i < n; ++i) {
-        // FMA fuses the multiply-add; allow a few ULPs around the
-        // double-precision result.
-        const double expected =
-            static_cast<double>(s) * x[i] + static_cast<double>(y[i]);
-        EXPECT_NEAR(actual[i], expected, 1e-6 * (std::abs(expected) + 1.0))
-            << backend->name << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(GoldenKernels, GemmBlockSweepWithLeadingDims) {
   // Leading dimensions strictly larger than the logical widths catch
-  // stride bugs; m sweeps every row-tile remainder (R = 4 tiles).
+  // stride bugs; m sweeps every row-tile remainder (6-row tiles). A is
+  // read both row-major (rs_a = lda, cs_a = 1) and transposed (rs_a = 1,
+  // cs_a = lda, A stored k x lda); C is both accumulated into and
+  // overwritten.
   const std::vector<int64_t> ms = {1, 2, 3, 4, 5, 6, 7, 8, 13};
   const std::vector<int64_t> ks = {1, 3, 17, 64};
   const std::vector<int64_t> ns = {1, 3, 7, 8, 15, 16, 17, 33};
   for (const simd::Kernels* backend : Backends()) {
-    for (const int64_t m : ms) {
-      for (const int64_t k : ks) {
-        for (const int64_t n : ns) {
-          const int64_t lda = k + 3, ldb = n + 5, ldc = n + 2;
-          const std::vector<float> a =
-              RandomVector(m * lda, 1000 + m * 31 + k * 7 + n);
-          const std::vector<float> b =
-              RandomVector(k * ldb, 2000 + m + k * 13 + n * 3);
-          // gemm_block accumulates: start from a non-trivial C.
-          const std::vector<float> c0 =
-              RandomVector(m * ldc, 3000 + m + k + n);
-          std::vector<float> c = c0;
-          backend->gemm_block(a.data(), lda, b.data(), ldb, c.data(), ldc,
-                              m, k, n);
-          std::vector<double> expected, abs_bound;
-          RefGemm(a.data(), lda, b.data(), ldb, m, k, n, &expected,
-                  &abs_bound);
-          for (int64_t i = 0; i < m; ++i) {
-            for (int64_t j = 0; j < n; ++j) {
-              const double want =
-                  expected[static_cast<size_t>(i * n + j)] +
-                  c0[static_cast<size_t>(i * ldc + j)];
-              // The accumulate-into-C add rounds at the magnitude of C too.
-              const double tolerance = ReductionTolerance(
-                  abs_bound[static_cast<size_t>(i * n + j)] +
-                      std::abs(
-                          c0[static_cast<size_t>(i * ldc + j)]),
-                  k + 1);
-              EXPECT_NEAR(c[static_cast<size_t>(i * ldc + j)], want,
-                          tolerance)
-                  << backend->name << " m=" << m << " k=" << k << " n=" << n
-                  << " at (" << i << "," << j << ")";
-            }
-          }
-          // Padding between rows must be untouched.
-          for (int64_t i = 0; i < m; ++i) {
-            for (int64_t j = n; j < ldc; ++j) {
-              EXPECT_EQ(c[static_cast<size_t>(i * ldc + j)],
-                        c0[static_cast<size_t>(i * ldc + j)])
-                  << backend->name << " padding at (" << i << "," << j << ")";
+    for (const bool transposed_a : {false, true}) {
+      for (const bool accumulate : {true, false}) {
+        for (const int64_t m : ms) {
+          for (const int64_t k : ks) {
+            for (const int64_t n : ns) {
+              const int64_t ldb = n + 5, ldc = n + 2;
+              const int64_t lda = (transposed_a ? m : k) + 3;
+              const int64_t rs_a = transposed_a ? 1 : lda;
+              const int64_t cs_a = transposed_a ? lda : 1;
+              const std::vector<float> a_store = RandomVector(
+                  (transposed_a ? k : m) * lda, 1000 + m * 31 + k * 7 + n);
+              // Row-major m x k copy of op(A) for the double reference.
+              std::vector<float> a(static_cast<size_t>(m * k));
+              for (int64_t i = 0; i < m; ++i) {
+                for (int64_t kk = 0; kk < k; ++kk) {
+                  a[static_cast<size_t>(i * k + kk)] =
+                      a_store[static_cast<size_t>(i * rs_a + kk * cs_a)];
+                }
+              }
+              const std::vector<float> b =
+                  RandomVector(k * ldb, 2000 + m + k * 13 + n * 3);
+              const std::vector<float> c0 =
+                  RandomVector(m * ldc, 3000 + m + k + n);
+              std::vector<float> c = c0;
+              backend->gemm_block(a_store.data(), rs_a, cs_a, b.data(), ldb,
+                                  c.data(), ldc, m, k, n, accumulate);
+              std::vector<double> expected, abs_bound;
+              RefGemm(a.data(), k, b.data(), ldb, m, k, n, &expected,
+                      &abs_bound);
+              for (int64_t i = 0; i < m; ++i) {
+                for (int64_t j = 0; j < n; ++j) {
+                  const double c_in =
+                      accumulate ? c0[static_cast<size_t>(i * ldc + j)] : 0.0;
+                  const double want =
+                      expected[static_cast<size_t>(i * n + j)] + c_in;
+                  // The add into C rounds at the magnitude of C too.
+                  const double tolerance = ReductionTolerance(
+                      abs_bound[static_cast<size_t>(i * n + j)] +
+                          std::abs(c_in),
+                      k + 1);
+                  EXPECT_NEAR(c[static_cast<size_t>(i * ldc + j)], want,
+                              tolerance)
+                      << backend->name << " transposed_a=" << transposed_a
+                      << " accumulate=" << accumulate << " m=" << m
+                      << " k=" << k << " n=" << n << " at (" << i << ","
+                      << j << ")";
+                }
+              }
+              // Padding between rows must be untouched.
+              for (int64_t i = 0; i < m; ++i) {
+                for (int64_t j = n; j < ldc; ++j) {
+                  EXPECT_EQ(c[static_cast<size_t>(i * ldc + j)],
+                            c0[static_cast<size_t>(i * ldc + j)])
+                      << backend->name << " padding at (" << i << "," << j
+                      << ")";
+                }
+              }
             }
           }
         }
@@ -261,6 +246,16 @@ TEST_P(GemmGoldenSweep, TransposedVariantsMatchReference) {
                           std::sqrt(static_cast<double>(k))))
           << backend->name << " TransA flat index " << i;
     }
+    // accumulate=true adds on top (GemmTransA's split-k partials too).
+    GemmTransA(at.data(), b.data(), actual.data(), m, k, n,
+               /*accumulate=*/true);
+    for (int64_t i = 0; i < m * n; ++i) {
+      EXPECT_NEAR(actual[static_cast<size_t>(i)],
+                  2.0 * expected_ta[static_cast<size_t>(i)],
+                  2e-4 * (std::abs(expected_ta[static_cast<size_t>(i)]) +
+                          std::sqrt(static_cast<double>(k))))
+          << backend->name << " TransA accumulate, flat index " << i;
+    }
     GemmTransB(a.data(), bt.data(), actual.data(), m, k, n);
     for (int64_t i = 0; i < m * n; ++i) {
       EXPECT_NEAR(actual[static_cast<size_t>(i)],
@@ -268,6 +263,15 @@ TEST_P(GemmGoldenSweep, TransposedVariantsMatchReference) {
                   1e-4 * (std::abs(expected_tb[static_cast<size_t>(i)]) +
                           std::sqrt(static_cast<double>(k))))
           << backend->name << " TransB flat index " << i;
+    }
+    GemmTransB(a.data(), bt.data(), actual.data(), m, k, n,
+               /*accumulate=*/true);
+    for (int64_t i = 0; i < m * n; ++i) {
+      EXPECT_NEAR(actual[static_cast<size_t>(i)],
+                  2.0 * expected_tb[static_cast<size_t>(i)],
+                  2e-4 * (std::abs(expected_tb[static_cast<size_t>(i)]) +
+                          std::sqrt(static_cast<double>(k))))
+          << backend->name << " TransB accumulate, flat index " << i;
     }
   }
 }
@@ -279,7 +283,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(17, 7, 1), std::make_tuple(17, 17, 17),
                       std::make_tuple(5, 129, 33),
                       std::make_tuple(65, 40, 31),
-                      std::make_tuple(9, 257, 15)));
+                      std::make_tuple(9, 257, 15),
+                      // Long k, narrow output: GemmTransA splits k into
+                      // pieces (4 uneven ones, then 8).
+                      std::make_tuple(75, 4100, 32),
+                      std::make_tuple(11, 9000, 2),
+                      std::make_tuple(3, 2048, 17)));
 
 TEST(GoldenKernels, LshHashSignsMatchDoubleProjection) {
   const int64_t dim = 37;  // remainder lanes in the projection GEMM

@@ -1,6 +1,8 @@
 // Tests for ConvGeometry, Im2Col and Col2Im, including the adjoint
 // property <Im2Col(x), g> == <x, Col2Im(g)> that backpropagation relies on.
 
+#include <algorithm>
+#include <cstring>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -148,6 +150,99 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(4, 7, 1, 1, 0),
                       std::make_tuple(1, 11, 5, 2, 1),
                       std::make_tuple(3, 12, 4, 4, 0)));
+
+// Per-tap references: every (row, c, ky, kx) tap tests its own bounds.
+// Im2Col/Col2Im compute each row's valid kx range once; they must give
+// the same bits, and Col2Im must add in the same order.
+void ReferenceIm2Col(const ConvGeometry& geo, const float* input,
+                     float* out) {
+  const int64_t ih = geo.in_height, iw = geo.in_width;
+  for (int64_t n = 0; n < geo.batch; ++n) {
+    for (int64_t oy = 0; oy < geo.out_height(); ++oy) {
+      for (int64_t ox = 0; ox < geo.out_width(); ++ox) {
+        for (int64_t c = 0; c < geo.in_channels; ++c) {
+          const float* chan = input + (n * geo.in_channels + c) * ih * iw;
+          for (int64_t ky = 0; ky < geo.kernel_h; ++ky) {
+            const int64_t y = oy * geo.stride + ky - geo.pad;
+            for (int64_t kx = 0; kx < geo.kernel_w; ++kx) {
+              const int64_t x = ox * geo.stride + kx - geo.pad;
+              const bool inside = y >= 0 && y < ih && x >= 0 && x < iw;
+              *out++ = inside ? chan[y * iw + x] : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void ReferenceCol2Im(const ConvGeometry& geo, const float* cols,
+                     float* grad_input) {
+  const int64_t ih = geo.in_height, iw = geo.in_width;
+  std::fill_n(grad_input, geo.batch * geo.in_channels * ih * iw, 0.0f);
+  for (int64_t n = 0; n < geo.batch; ++n) {
+    for (int64_t oy = 0; oy < geo.out_height(); ++oy) {
+      for (int64_t ox = 0; ox < geo.out_width(); ++ox) {
+        for (int64_t c = 0; c < geo.in_channels; ++c) {
+          float* chan = grad_input + (n * geo.in_channels + c) * ih * iw;
+          for (int64_t ky = 0; ky < geo.kernel_h; ++ky) {
+            const int64_t y = oy * geo.stride + ky - geo.pad;
+            for (int64_t kx = 0; kx < geo.kernel_w; ++kx) {
+              const int64_t x = ox * geo.stride + kx - geo.pad;
+              const bool inside = y >= 0 && y < ih && x >= 0 && x < iw;
+              if (inside) chan[y * iw + x] += *cols;
+              ++cols;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+class Im2ColReferenceSweep
+    : public ::testing::TestWithParam<
+          std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t>> {};
+
+TEST_P(Im2ColReferenceSweep, MatchesPerTapReferenceBitwise) {
+  const auto [channels, size, kernel, stride, pad] = GetParam();
+  const ConvGeometry geo = MakeGeometry(3, channels, size, kernel, stride,
+                                        pad);
+  ASSERT_TRUE(geo.Validate().ok());
+  Rng rng(5);
+  Tensor x = Tensor::RandomGaussian(Shape({3, channels, size, size}), &rng);
+  Tensor g = Tensor::RandomGaussian(
+      Shape({geo.unfolded_rows(), geo.unfolded_cols()}), &rng);
+
+  Tensor cols(g.shape());
+  Im2Col(geo, x, &cols);
+  Tensor expected_cols(g.shape());
+  ReferenceIm2Col(geo, x.data(), expected_cols.data());
+  EXPECT_EQ(std::memcmp(cols.data(), expected_cols.data(),
+                        sizeof(float) * static_cast<size_t>(
+                                            cols.num_elements())),
+            0);
+
+  Tensor folded(x.shape());
+  Col2Im(geo, g, &folded);
+  Tensor expected_folded(x.shape());
+  ReferenceCol2Im(geo, g.data(), expected_folded.data());
+  EXPECT_EQ(std::memcmp(folded.data(), expected_folded.data(),
+                        sizeof(float) * static_cast<size_t>(
+                                            folded.num_elements())),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, Im2ColReferenceSweep,
+    ::testing::Values(std::make_tuple(1, 6, 3, 1, 0),
+                      std::make_tuple(3, 8, 3, 1, 1),
+                      std::make_tuple(2, 9, 3, 2, 0),
+                      std::make_tuple(3, 32, 5, 1, 2),
+                      std::make_tuple(2, 11, 5, 2, 1),
+                      std::make_tuple(2, 3, 3, 1, 2),    // pad < kernel edge
+                      std::make_tuple(1, 4, 2, 1, 3),    // rows all padding
+                      std::make_tuple(2, 15, 11, 4, 2)));
 
 TEST(Col2ImTest, OverlappingPatchesAccumulate) {
   // 3x3 input, 2x2 kernel, stride 1: center pixel (1,1) appears in all

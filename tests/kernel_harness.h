@@ -2,10 +2,9 @@
 // iteration, deterministic fills, double-precision reference kernels and
 // the per-kernel tolerance policy (DESIGN.md section 6.3).
 //
-// Tolerance policy. Elementwise kernels (add, scale) must match the
+// Tolerance policy. Elementwise kernels (add, scale, copy) must match the
 // scalar expression bitwise — vector lanes perform the identical single
-// operation. axpy may fuse its multiply-add, so it gets a few-ULP
-// relative bound. Reductions (dot, squared_norm, gemm) regroup the
+// operation. Reductions (squared_norm, gemm) regroup the
 // accumulation order across lanes, so they are compared against a
 // double-precision reference with an error budget proportional to
 // eps * sum_i |a_i| * |b_i| — the standard forward error bound of
@@ -63,16 +62,6 @@ inline double RefDot(const float* a, const float* b, int64_t n) {
 
 inline double RefSquaredNorm(const float* a, int64_t n) {
   return RefDot(a, a, n);
-}
-
-/// sum_i |a_i * b_i| — the magnitude the summation error bound scales
-/// with.
-inline double AbsDot(const float* a, const float* b, int64_t n) {
-  double sum = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    sum += std::abs(static_cast<double>(a[i]) * b[i]);
-  }
-  return sum;
 }
 
 /// Reduction tolerance: c * n * eps * sum|a_i b_i|, floored to absorb

@@ -1,5 +1,7 @@
 // Layer tests: shapes, known values, and finite-difference gradient checks.
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "nn/activations.h"
@@ -7,8 +9,11 @@
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "nn/pooling.h"
+#include "tensor/gemm.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "tests/gradient_check.h"
+#include "tests/kernel_harness.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -107,6 +112,65 @@ TEST(Conv2dTest, StridedGradientCheck) {
   Tensor in = Tensor::RandomGaussian(Shape({1, 1, 7, 7}), &rng);
   testutil::CheckGradients(&conv, in, /*tolerance=*/5e-2, /*epsilon=*/1e-3f,
                            /*seed=*/7, /*training=*/true);
+}
+
+// The fused backward (dX rows computed tile by tile and folded straight
+// into grad_input) against the unfused GemmTransB + Col2Im it replaces:
+// same bits, on every backend. The shapes are CifarNet's conv1 and conv2
+// at batch 32, a strided one with more images than the fused path's
+// groups, and one whose images span two row tiles.
+TEST(Conv2dTest, FusedBackwardMatchesGemmTransBThenCol2ImBitwise) {
+  struct Case {
+    Conv2dConfig config;
+    int64_t batch;
+  };
+  const auto make = [](int64_t ic, int64_t oc, int64_t kernel, int64_t stride,
+                       int64_t pad, int64_t size, int64_t batch) {
+    Case c;
+    c.config.in_channels = ic;
+    c.config.out_channels = oc;
+    c.config.kernel = kernel;
+    c.config.stride = stride;
+    c.config.pad = pad;
+    c.config.in_height = size;
+    c.config.in_width = size;
+    c.batch = batch;
+    return c;
+  };
+  const Case cases[] = {make(3, 32, 5, 1, 2, 32, 32),
+                        make(32, 32, 5, 1, 2, 16, 32),
+                        make(4, 6, 3, 2, 1, 9, 11),
+                        make(32, 8, 5, 1, 2, 20, 3)};
+  for (const simd::Kernels* backend : testutil::Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    for (const Case& c : cases) {
+      Rng rng(8);
+      Conv2d conv("conv", c.config, &rng);
+      const ConvGeometry geo = conv.Geometry(c.batch);
+      const int64_t n = geo.unfolded_rows(), k = geo.unfolded_cols();
+      const int64_t m = c.config.out_channels;
+      Tensor in = Tensor::RandomGaussian(
+          Shape({c.batch, c.config.in_channels, c.config.in_height,
+                 c.config.in_width}),
+          &rng);
+      Tensor grad_out = Tensor::RandomGaussian(
+          Shape({c.batch, m, geo.out_height(), geo.out_width()}), &rng);
+      conv.Forward(in, /*training=*/true);
+      const Tensor fused = conv.Backward(grad_out);
+
+      const Tensor dy = NchwToRows(grad_out);
+      Tensor dx_cols(Shape({n, k}));
+      GemmTransB(dy.data(), conv.weight().data(), dx_cols.data(), n, m, k);
+      Tensor expected(fused.shape());
+      Col2Im(geo, dx_cols, &expected);
+      ASSERT_EQ(fused.shape(), expected.shape());
+      ASSERT_EQ(std::memcmp(fused.data(), expected.data(),
+                            sizeof(float) *
+                                static_cast<size_t>(fused.num_elements())),
+                0)
+          << backend->name << " K=" << k << " batch=" << c.batch;
+    }
+  }
 }
 
 TEST(Conv2dTest, ForwardMacs) {

@@ -1,14 +1,17 @@
 // Bitwise determinism of the parallel kernels: the same inputs must give
-// bit-identical results with 1, 2, and 8 worker threads. This is the
+// bit-identical results with 1, 2, 4 and 8 worker threads. This is the
 // contract that makes the thread count a pure performance knob — training
 // runs are reproducible on any machine.
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "core/reuse_conv2d.h"
+#include "nn/conv2d.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -16,7 +19,7 @@
 namespace adr {
 namespace {
 
-constexpr int kThreadCounts[] = {1, 2, 8};
+constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 class ThreadCountGuard {
  public:
@@ -61,6 +64,110 @@ TEST(ParallelDeterminismTest, GemmBitIdenticalAcrossThreadCounts) {
     Tensor ta_ref(Shape({k, k}));
     GemmTransA(a.data(), a.data(), ta_ref.data(), k, n, k);
     ExpectBitIdentical(ta, ta_ref, "GemmTransA", threads);
+  }
+}
+
+// The three GEMMs at one (m, k, n): Gemm, GemmTransA (A stored k x m) and
+// GemmTransB (B stored n x k), each at every thread count against its
+// own 1-thread result.
+void ExpectGemmsThreadIndependent(int64_t m, int64_t k, int64_t n,
+                                  uint64_t seed) {
+  Rng rng(seed);
+  Tensor a = Tensor::RandomGaussian(Shape({m, k}), &rng);
+  Tensor at = Tensor::RandomGaussian(Shape({k, m}), &rng);
+  Tensor b = Tensor::RandomGaussian(Shape({k, n}), &rng);
+  Tensor bt = Tensor::RandomGaussian(Shape({n, k}), &rng);
+  const auto run = [&](int threads) {
+    ThreadPool::SetGlobalThreads(threads);
+    std::vector<Tensor> out(3, Tensor(Shape({m, n})));
+    Gemm(a.data(), b.data(), out[0].data(), m, k, n);
+    GemmTransA(at.data(), b.data(), out[1].data(), m, k, n);
+    GemmTransB(a.data(), bt.data(), out[2].data(), m, k, n);
+    return out;
+  };
+  const std::vector<Tensor> reference = run(1);
+  const char* names[] = {"Gemm", "GemmTransA", "GemmTransB"};
+  for (const int threads : kThreadCounts) {
+    const std::vector<Tensor> result = run(threads);
+    for (size_t i = 0; i < result.size(); ++i) {
+      ExpectBitIdentical(result[i], reference[i], names[i], threads);
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, AllGemmsBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  ExpectGemmsThreadIndependent(300, 123, 77, 33);
+  // Long reduction, small output: GemmTransA splits k into pieces (the
+  // CifarNet conv1 dW shape, 75 x 32 with k = 32768).
+  ExpectGemmsThreadIndependent(75, 32768, 32, 34);
+}
+
+TEST(ParallelDeterminismTest, CifarNetConvGemmsBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  // The three GEMMs of CifarNet's conv2 (N = 8192, K = 800, M = 32) and
+  // conv1 (N = 32768, K = 75, M = 32) at batch 32, in the layer's
+  // argument order.
+  for (const auto& [n, k, mm] : {std::tuple<int64_t, int64_t, int64_t>{
+                                     8192, 800, 32},
+                                 std::tuple<int64_t, int64_t, int64_t>{
+                                     32768, 75, 32}}) {
+    Rng rng(static_cast<uint64_t>(k));
+    Tensor cols = Tensor::RandomGaussian(Shape({n, k}), &rng);
+    Tensor w = Tensor::RandomGaussian(Shape({k, mm}), &rng);
+    Tensor dy = Tensor::RandomGaussian(Shape({n, mm}), &rng);
+    const auto run = [&](int threads) {
+      ThreadPool::SetGlobalThreads(threads);
+      std::vector<Tensor> out = {Tensor(Shape({n, mm})), Tensor(Shape({k, mm})),
+                                 Tensor(Shape({n, k}))};
+      Gemm(cols.data(), w.data(), out[0].data(), n, k, mm);
+      GemmTransA(cols.data(), dy.data(), out[1].data(), k, n, mm);
+      GemmTransB(dy.data(), w.data(), out[2].data(), n, mm, k);
+      return out;
+    };
+    const std::vector<Tensor> reference = run(1);
+    const char* names[] = {"forward", "dW", "dX"};
+    for (const int threads : {2, 4}) {
+      const std::vector<Tensor> result = run(threads);
+      for (size_t i = 0; i < result.size(); ++i) {
+        ExpectBitIdentical(result[i], reference[i], names[i], threads);
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, Conv2dBitIdenticalAcrossThreadCounts) {
+  // Forward, the fused dX -> col2im backward, dW and db of a padded conv
+  // layer, with more images than the backward's groups.
+  ThreadCountGuard guard;
+  Conv2dConfig config;
+  config.in_channels = 5;
+  config.out_channels = 12;
+  config.kernel = 3;
+  config.pad = 1;
+  config.in_height = 9;
+  config.in_width = 9;
+  Rng rng(53);
+  Tensor input = Tensor::RandomGaussian(Shape({11, 5, 9, 9}), &rng);
+  Tensor grad_out = Tensor::RandomGaussian(Shape({11, 12, 9, 9}), &rng);
+  const auto run = [&](int threads) {
+    ThreadPool::SetGlobalThreads(threads);
+    Rng init(54);
+    Conv2d layer("conv", config, &init);
+    std::vector<Tensor> out;
+    out.push_back(layer.Forward(input, /*training=*/true));
+    out.push_back(layer.Backward(grad_out));
+    out.push_back(*layer.Gradients()[0]);
+    out.push_back(*layer.Gradients()[1]);
+    return out;
+  };
+  const std::vector<Tensor> reference = run(1);
+  const char* names[] = {"output", "grad_input", "grad_weight", "grad_bias"};
+  for (const int threads : kThreadCounts) {
+    const std::vector<Tensor> result = run(threads);
+    for (size_t i = 0; i < result.size(); ++i) {
+      ExpectBitIdentical(result[i], reference[i], names[i], threads);
+    }
   }
 }
 
