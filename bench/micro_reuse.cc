@@ -8,17 +8,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <utility>
 #include <vector>
 
 #include "bench_json_main.h"
 #include "clustering/exact_dedup.h"
-#include "core/cluster_cache_reference.h"
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
+#include "tests/clustered_forward_reference.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -104,7 +105,9 @@ void BM_ReuseBackward(benchmark::State& state) {
     return;
   }
   const ReuseClustering clustering =
-      ClusterSubVectors(*families, wl.x.data(), Workload::kN, Workload::kN);
+      ClusteredMatmulForward(*families, wl.x.data(), Workload::kN, wl.w,
+                             nullptr, Workload::kN, nullptr)
+          .clustering;
   for (auto _ : state) {
     BackwardReuseResult result = ReuseBackward(clustering, wl.w, wl.dy);
     benchmark::DoNotOptimize(result.grad_weight.data());
@@ -127,10 +130,23 @@ void BM_ClusterOnly(benchmark::State& state) {
     state.SkipWithError(families.status().ToString().c_str());
     return;
   }
+  // The clustering phase of ClusteredForward over a matrix source: L2-sized
+  // row tiles through the production clusterer, buffers recycled.
+  StreamingSubVectorClusterer clusterer;
+  const int64_t tile_rows = L2TileRows(Workload::kK);
+  clusterer.Begin(&*families, Workload::kN, Workload::kN);
+  std::vector<float> scratch(
+      static_cast<size_t>(clusterer.ScratchFloats(tile_rows)));
   for (auto _ : state) {
-    ReuseClustering clustering = ClusterSubVectors(
-        *families, wl.x.data(), Workload::kN, Workload::kN);
+    clusterer.Begin(&*families, Workload::kN, Workload::kN);
+    for (int64_t row = 0; row < Workload::kN; row += tile_rows) {
+      clusterer.ConsumeTile(wl.x.data() + row * Workload::kK, row,
+                            std::min(tile_rows, Workload::kN - row),
+                            scratch.data());
+    }
+    ReuseClustering clustering = clusterer.Finish();
     benchmark::DoNotOptimize(clustering.blocks.data());
+    clusterer.Recycle(std::move(clustering));
   }
   state.SetItemsProcessed(state.iterations() * Workload::kN * Workload::kK *
                           h);
@@ -286,7 +302,7 @@ void BM_ClusterCacheInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterCacheInsert)->Apply(ThreadsOnlyArgs);
 
-// Conv-shaped workload for the fused-vs-materialized comparison: a
+// Conv-shaped workload comparing the driver's two row sources: a
 // spatially periodic image (period 4) whose interior im2col rows repeat,
 // scaled per image (signatures are scale-invariant, so clusters recur).
 // K = 16*5*5 = 400 matches the flat Workload, N = 8*16*16 = 2048.
@@ -331,8 +347,8 @@ ConvWorkload& SharedConvWorkload() {
   return *workload;
 }
 
-// Materialized pipeline: im2col the whole batch, then cluster + gather
-// GEMM — the pre-fusion data flow, on the same arena-backed core.
+// Matrix source: im2col the whole batch into the arena, then the driver
+// reads it in place — the data flow of the exact-backward ablation.
 void BM_MaterializedClusteredForward(benchmark::State& state) {
   SetupThreads(state);
   ConvWorkload& wl = SharedConvWorkload();
@@ -346,6 +362,7 @@ void BM_MaterializedClusteredForward(benchmark::State& state) {
     return;
   }
   WorkspaceArena arena;
+  StreamingSubVectorClusterer clusterer;
   for (auto _ : state) {
     arena.Reset();
     float* cols = arena.AllocFloats(n * k);
@@ -353,9 +370,10 @@ void BM_MaterializedClusteredForward(benchmark::State& state) {
     float* y = arena.AllocFloats(n * ConvWorkload::kM);
     ReuseClustering clustering;
     ForwardReuseStats stats;
-    ClusteredMatmulForwardInto(*families, cols, n, wl.w, nullptr, n,
-                               nullptr, &arena, y, &clustering, &stats);
+    ClusteredForward(*families, ForwardRows::Matrix(cols, n), wl.w, nullptr,
+                     n, nullptr, &arena, &clusterer, y, &clustering, &stats);
     benchmark::DoNotOptimize(y);
+    clusterer.Recycle(std::move(clustering));
   }
   state.counters["peak_workspace_bytes"] =
       static_cast<double>(arena.reserved_bytes());
@@ -366,9 +384,9 @@ BENCHMARK(BM_MaterializedClusteredForward)
       ThreadsLHArgs(b, {{100, 8}, {25, 12}});
     });
 
-// Fused tiled pipeline on the identical workload: im2col rows stream
-// straight into hashing, the N x K matrix never exists. Same bits out
-// (see fused_forward_test), far smaller peak_workspace_bytes.
+// Unfold source on the identical workload: im2col rows stream straight
+// into hashing, the N x K matrix never exists. Same bits out (see
+// fused_forward_test), far smaller peak_workspace_bytes.
 void BM_FusedClusteredForward(benchmark::State& state) {
   SetupThreads(state);
   ConvWorkload& wl = SharedConvWorkload();
@@ -388,9 +406,9 @@ void BM_FusedClusteredForward(benchmark::State& state) {
     float* y = arena.AllocFloats(n * ConvWorkload::kM);
     ReuseClustering clustering;
     ForwardReuseStats stats;
-    FusedClusteredForward(*families, wl.geo, wl.input.data(), wl.w,
-                          nullptr, n, nullptr, &arena, &clusterer, y,
-                          &clustering, &stats);
+    ClusteredForward(*families, ForwardRows::Unfold(wl.geo, wl.input.data()),
+                     wl.w, nullptr, n, nullptr, &arena, &clusterer, y,
+                     &clustering, &stats);
     benchmark::DoNotOptimize(y);
     clusterer.Recycle(std::move(clustering));
   }

@@ -82,7 +82,7 @@ class LshFamily {
                 std::vector<LshSignature>* out) const;
 
   /// \brief HashRows into caller-owned buffers — the allocation-free form
-  /// the fused tile pipeline feeds from a workspace arena. `scratch` must
+  /// the clustered forward feeds from a workspace arena. `scratch` must
   /// hold ScratchFloats(num_rows, row_stride) floats; `out` receives
   /// `num_rows` signatures. Same projection GEMM and sign-packing as
   /// HashRows, so the signatures are bit-identical.

@@ -31,17 +31,12 @@ void ScatterClusterOutputs(const float* yc, const Clustering& clustering,
   });
 }
 
-}  // namespace
-
-namespace {
-
-// The shared back half of every LSH forward: given a finished clustering,
-// consult the cross-batch cache, run one GEMM over the missed centroids
-// per block (gathered compactly when some clusters hit), scatter the
-// cluster outputs to the member rows, and add the bias. Both the
-// materialized and the fused pipelines call this, so their outputs agree
-// bit-for-bit whenever their clusterings do. `y` (num_rows x m) is
-// overwritten; transient buffers bump from `scratch`.
+// The back half of every clustered forward (LSH and k-means): given a
+// finished clustering, consult the cross-batch cache when there is one,
+// run one GEMM over the missed centroids per block (gathered compactly
+// when some clusters hit), scatter the cluster outputs to the member rows,
+// and add the bias. `y` (num_rows x m) is overwritten; transient buffers
+// bump from `scratch`.
 void FinishForwardFromClustering(ReuseClustering* clustering,
                                  const Tensor& weight, const Tensor* bias,
                                  ClusterReuseCache* cache, int num_hashes,
@@ -165,46 +160,62 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
                                 static_cast<double>(batch_clusters);
 }
 
-void PublishCoreForwardMetrics(const ForwardReuseStats& stats) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.counter("core/clustered_forwards")->Increment();
-  metrics.counter("core/clusters_total")->Increment(stats.clusters_total);
-  metrics.counter("core/clusters_reused")
-      ->Increment(stats.clusters_reused);
-  metrics.histogram("core/hash_seconds")->Record(stats.hash_seconds);
-  metrics.histogram("core/gemm_seconds")->Record(stats.gemm_seconds);
-}
-
 }  // namespace
 
-void ClusteredMatmulForwardInto(const BlockLshFamilies& families,
-                                const float* x, int64_t num_rows,
-                                const Tensor& weight, const Tensor* bias,
-                                int64_t rows_per_group,
-                                ClusterReuseCache* cache,
-                                WorkspaceArena* arena, float* y,
-                                ReuseClustering* clustering,
-                                ForwardReuseStats* stats) {
+void ClusteredForward(const BlockLshFamilies& families,
+                      const ForwardRows& rows, const Tensor& weight,
+                      const Tensor* bias, int64_t rows_per_group,
+                      ClusterReuseCache* cache, WorkspaceArena* arena,
+                      StreamingSubVectorClusterer* clusterer, float* y,
+                      ReuseClustering* clustering, ForwardReuseStats* stats) {
+  const int64_t n = rows.num_rows;
+  const int64_t k = families.k();
+  ADR_CHECK(!rows.unfold || rows.geo.unfolded_cols() == k);
   ADR_CHECK_EQ(weight.shape().rank(), 2);
-  ADR_CHECK_EQ(weight.shape()[0], families.k());
+  ADR_CHECK_EQ(weight.shape()[0], k);
+  ADR_CHECK(clusterer != nullptr);
 
-  ADR_TRACE_SPAN("ClusteredMatmulForward");
+  ADR_TRACE_SPAN("ClusteredForward");
   Timer timer;
+  ScratchAllocator scratch(arena);
 
-  // 1. Cluster all column blocks (hashing + grouping + centroids).
+  // 1. Stream L2-sized row tiles through hash + cluster. An unfolded tile
+  // is generated in parallel over row sub-ranges; a matrix tile is read
+  // in place. The hash GEMM inside ConsumeTile parallelizes itself.
   {
     ADR_TRACE_SPAN("lsh_cluster");
-    *clustering = ClusterSubVectors(families, x, num_rows, rows_per_group);
+    clusterer->Begin(&families, n, rows_per_group);
+    const int64_t tile_rows = L2TileRows(k);
+    float* tile = rows.unfold ? scratch.Floats(tile_rows * k) : nullptr;
+    float* hash_scratch = scratch.Floats(clusterer->ScratchFloats(tile_rows));
+    for (int64_t row = 0; row < n; row += tile_rows) {
+      const int64_t count = std::min(tile_rows, n - row);
+      if (rows.unfold) {
+        ParallelFor(count, 32, [&](int64_t begin, int64_t end) {
+          Im2ColRows(rows.geo, rows.data, row + begin, row + end,
+                     tile + begin * k);
+        });
+      }
+      clusterer->ConsumeTile(rows.unfold ? tile : rows.data + row * k, row,
+                             count, hash_scratch);
+    }
+    *clustering = clusterer->Finish();
   }
   stats->hash_seconds = timer.ElapsedSeconds();
 
+  // 2. Cache lookup and gather-GEMM over the centroids only, then scatter.
   timer.Reset();
-  ScratchAllocator scratch(arena);
   FinishForwardFromClustering(clustering, weight, bias, cache,
                               families.family(0).num_hashes(), &scratch, y,
                               stats);
   stats->gemm_seconds = timer.ElapsedSeconds();
-  PublishCoreForwardMetrics(*stats);
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.counter("core/clustered_forwards")->Increment();
+  metrics.counter("core/clusters_total")->Increment(stats->clusters_total);
+  metrics.counter("core/clusters_reused")->Increment(stats->clusters_reused);
+  metrics.histogram("core/hash_seconds")->Record(stats->hash_seconds);
+  metrics.histogram("core/gemm_seconds")->Record(stats->gemm_seconds);
 }
 
 ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
@@ -215,60 +226,11 @@ ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
                                           ClusterReuseCache* cache) {
   ForwardReuseResult result;
   result.y_rows = Tensor(Shape({num_rows, weight.shape()[1]}));
-  ClusteredMatmulForwardInto(families, x, num_rows, weight, bias,
-                             rows_per_group, cache, /*arena=*/nullptr,
-                             result.y_rows.data(), &result.clustering,
-                             &result.stats);
+  StreamingSubVectorClusterer clusterer;
+  ClusteredForward(families, ForwardRows::Matrix(x, num_rows), weight, bias,
+                   rows_per_group, cache, /*arena=*/nullptr, &clusterer,
+                   result.y_rows.data(), &result.clustering, &result.stats);
   return result;
-}
-
-void FusedClusteredForward(const BlockLshFamilies& families,
-                           const ConvGeometry& geo, const float* input_nchw,
-                           const Tensor& weight, const Tensor* bias,
-                           int64_t rows_per_group, ClusterReuseCache* cache,
-                           WorkspaceArena* arena,
-                           StreamingSubVectorClusterer* clusterer, float* y,
-                           ReuseClustering* clustering,
-                           ForwardReuseStats* stats) {
-  const int64_t n = geo.unfolded_rows();
-  const int64_t k = geo.unfolded_cols();
-  ADR_CHECK_EQ(k, families.k());
-  ADR_CHECK_EQ(weight.shape().rank(), 2);
-  ADR_CHECK_EQ(weight.shape()[0], k);
-  ADR_CHECK(clusterer != nullptr);
-
-  ADR_TRACE_SPAN("FusedClusteredForward");
-  Timer timer;
-  ScratchAllocator scratch(arena);
-
-  // 1. Stream L2-sized row tiles through im2col + hash + cluster; the
-  // unfolded matrix never exists. (Tile generation parallelizes over row
-  // sub-ranges; the hash GEMM inside ConsumeTile parallelizes itself.)
-  {
-    ADR_TRACE_SPAN("fused_tile_cluster");
-    clusterer->Begin(&families, n, rows_per_group);
-    const int64_t tile_rows = L2TileRows(k);
-    float* tile = scratch.Floats(tile_rows * k);
-    float* hash_scratch = scratch.Floats(clusterer->ScratchFloats(tile_rows));
-    for (int64_t row = 0; row < n; row += tile_rows) {
-      const int64_t rows = std::min(tile_rows, n - row);
-      ParallelFor(rows, 32, [&](int64_t begin, int64_t end) {
-        Im2ColRows(geo, input_nchw, row + begin, row + end, tile + begin * k);
-      });
-      clusterer->ConsumeTile(tile, row, rows, hash_scratch);
-    }
-    *clustering = clusterer->Finish();
-  }
-  stats->hash_seconds = timer.ElapsedSeconds();
-
-  // 2. Gather-GEMM over the centroids only, then scatter.
-  timer.Reset();
-  FinishForwardFromClustering(clustering, weight, bias, cache,
-                              families.family(0).num_hashes(), &scratch, y,
-                              stats);
-  stats->gemm_seconds = timer.ElapsedSeconds();
-  PublishCoreForwardMetrics(*stats);
-  MetricsRegistry::Global().counter("core/fused_forwards")->Increment();
 }
 
 ForwardReuseResult KMeansMatmulForward(
@@ -329,23 +291,11 @@ ForwardReuseResult KMeansMatmulForward(
 
   timer.Reset();
   result.y_rows = Tensor(Shape({num_rows, m}));
-  float* y = result.y_rows.data();
-  for (const SubMatrixClustering& block : result.clustering.blocks) {
-    const int64_t num_clusters = block.clustering.num_clusters();
-    Tensor yc(Shape({num_clusters, m}));
-    Gemm(block.centroids.data(), weight.data() + block.col_offset * m,
-         yc.data(), num_clusters, block.length, m);
-    result.stats.macs_gemm +=
-        static_cast<double>(num_clusters) * block.length * m;
-    ScatterClusterOutputs(yc.data(), block.clustering, num_rows, m, y);
-    result.stats.macs_scatter += static_cast<double>(num_rows) * m;
-    result.stats.clusters_total += num_clusters;
-  }
-  if (bias != nullptr) AddRowBias(*bias, &result.y_rows);
+  ScratchAllocator scratch(/*arena=*/nullptr);
+  FinishForwardFromClustering(&result.clustering, weight, bias,
+                              /*cache=*/nullptr, /*num_hashes=*/0, &scratch,
+                              result.y_rows.data(), &result.stats);
   result.stats.gemm_seconds = timer.ElapsedSeconds();
-  result.stats.macs_baseline = static_cast<double>(num_rows) * k * m;
-  result.stats.avg_remaining_ratio =
-      result.clustering.AverageRemainingRatio();
   return result;
 }
 

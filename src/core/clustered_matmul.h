@@ -40,50 +40,54 @@ struct ForwardReuseResult {
   ForwardReuseStats stats;
 };
 
-/// \brief Computes y = x * W (+ bias) through centroid reuse.
+/// \brief The N x K unfolded rows a clustered forward reads, from one of
+/// two sources.
+struct ForwardRows {
+  /// \brief Rows unfolded from the NCHW `input` one L2TileRows-sized tile
+  /// at a time, into arena scratch: the N x K matrix never exists, which
+  /// shifts the forward footprint from O(N*K) toward O(tile*K + |C|*K).
+  static ForwardRows Unfold(const ConvGeometry& geo, const float* input) {
+    return {input, geo.unfolded_rows(), geo, true};
+  }
+  /// \brief An existing row-major `num_rows` x K matrix, read in place.
+  static ForwardRows Matrix(const float* x, int64_t num_rows) {
+    return {x, num_rows, ConvGeometry{}, false};
+  }
+
+  const float* data;  ///< the NCHW input, or the matrix
+  int64_t num_rows;   ///< N
+  ConvGeometry geo;   ///< meaningful only when `unfold`
+  bool unfold;
+};
+
+/// \brief The LSH forward: computes y = x * W (+ bias) through centroid
+/// reuse. Row tiles of `rows` stream through the caller-owned
+/// `clusterer`; then, per column block, the cross-batch `cache` (Algorithm
+/// 1, skipped when null) serves the clusters it knows, one GEMM runs over
+/// the remaining centroids, and the cluster outputs are scattered back to
+/// the member rows.
 ///
-/// `x` is N x K row-major; `weight` is [K, M]; `bias` is [M] or nullptr;
-/// `rows_per_group` sets the clustering scope (see ClusterSubVectors);
-/// `cache` enables Algorithm 1 when non-null.
+/// Both row sources give bit-identical signatures, clusterings and `y`.
+/// `weight` is [K, M]; `bias` is [M] or nullptr; `rows_per_group` sets the
+/// clustering scope (see StreamingSubVectorClusterer). `y` is
+/// num_rows x M, overwritten. The clusterer's buffers (and, via Recycle,
+/// the returned clustering's) persist across steps; scratch comes from
+/// `arena` (heap fallback when null).
+void ClusteredForward(const BlockLshFamilies& families,
+                      const ForwardRows& rows, const Tensor& weight,
+                      const Tensor* bias, int64_t rows_per_group,
+                      ClusterReuseCache* cache, WorkspaceArena* arena,
+                      StreamingSubVectorClusterer* clusterer, float* y,
+                      ReuseClustering* clustering, ForwardReuseStats* stats);
+
+/// \brief ClusteredForward over the `num_rows` x K matrix `x`, with its
+/// own clusterer and heap scratch, returning freshly allocated results.
 ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
                                           const float* x, int64_t num_rows,
                                           const Tensor& weight,
                                           const Tensor* bias,
                                           int64_t rows_per_group,
                                           ClusterReuseCache* cache);
-
-/// \brief ClusteredMatmulForward writing into caller-owned buffers: `y`
-/// (num_rows x M, overwritten) and scratch bumped from `arena` (heap
-/// fallback when null). Bit-identical to ClusteredMatmulForward.
-void ClusteredMatmulForwardInto(const BlockLshFamilies& families,
-                                const float* x, int64_t num_rows,
-                                const Tensor& weight, const Tensor* bias,
-                                int64_t rows_per_group,
-                                ClusterReuseCache* cache,
-                                WorkspaceArena* arena, float* y,
-                                ReuseClustering* clustering,
-                                ForwardReuseStats* stats);
-
-/// \brief The fused, tiled forward: im2col rows are generated straight
-/// from the NCHW `input` in L2TileRows-sized tiles, hashed and clustered
-/// by the streaming `clusterer`, and only the |C| centroid rows ever meet
-/// the GEMM — the N x K unfolded matrix is never materialized, shifting
-/// the forward footprint from O(N*K) toward O(tile*K + |C|*K).
-///
-/// Signatures, clusterings, and `y` are bit-identical to
-/// ClusteredMatmulForward on the materialized Im2Col output (see
-/// StreamingSubVectorClusterer). `y` is num_rows x M, overwritten;
-/// `clusterer` must be caller-owned so its buffers (and the clustering
-/// returned here, via Recycle) persist across steps; scratch comes from
-/// `arena` (heap fallback when null).
-void FusedClusteredForward(const BlockLshFamilies& families,
-                           const ConvGeometry& geo, const float* input_nchw,
-                           const Tensor& weight, const Tensor* bias,
-                           int64_t rows_per_group, ClusterReuseCache* cache,
-                           WorkspaceArena* arena,
-                           StreamingSubVectorClusterer* clusterer, float* y,
-                           ReuseClustering* clustering,
-                           ForwardReuseStats* stats);
 
 /// \brief Same computation with k-means clustering instead of LSH — the
 /// high-quality/slow method of the paper's similarity-verification study

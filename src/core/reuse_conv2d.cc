@@ -106,56 +106,49 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   // Eval mode caches nothing: Backward requires a training Forward.
   cached_batch_ = training ? batch : 0;
 
+  // The N x K unfolded input exists only where something reads it whole:
+  // the dense GEMM, k-means' iterative passes, and the exact backward
+  // (which keeps it, arena-owned, for Backward). Every other LSH forward
+  // unfolds tile by tile inside ClusteredForward.
+  const bool lsh =
+      reuse_.enabled && reuse_.method == ClusteringMethod::kLsh;
+  float* cols = nullptr;
+  if (!lsh || (training && exact_backward_)) {
+    cols = arena_.AllocFloats(n * k);
+    ADR_TRACE_SPAN("im2col");
+    Timer im2col_timer;
+    Im2Col(geo, input.data(), cols);
+    MetricsRegistry::Global()
+        .histogram(metric_prefix_ + "im2col_seconds")
+        ->Record(im2col_timer.ElapsedSeconds());
+    if (training) cached_cols_data_ = cols;
+  }
+  float* y = arena_.AllocFloats(n * m);
+
   if (!reuse_.enabled) {
-    // Dense path: identical to Conv2d. The unfolded input is kept for the
-    // exact backward only while training.
-    float* cols = arena_.AllocFloats(n * k);
-    {
-      ADR_TRACE_SPAN("im2col");
-      Timer im2col_timer;
-      Im2Col(geo, input.data(), cols);
-      MetricsRegistry::Global()
-          .histogram(metric_prefix_ + "im2col_seconds")
-          ->Record(im2col_timer.ElapsedSeconds());
-    }
-    float* y = arena_.AllocFloats(n * m);
+    // Dense path: identical to Conv2d.
     Gemm(cols, weight_.data(), y, n, k, m);
     AddRowBias(bias_.data(), y, n, m);
-    if (training) cached_cols_data_ = cols;
     ++stats_.forward_calls;
     stats_.macs_executed += static_cast<double>(n) * k * m;
     stats_.macs_baseline += static_cast<double>(n) * k * m;
     MetricsRegistry& metrics = MetricsRegistry::Global();
     metrics.counter(metric_prefix_ + "forward_calls")->Increment();
     metrics.gauge(metric_prefix_ + "enabled")->Set(0.0);
-    PublishWorkspaceMetrics();
-    Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
-    RowsToNchw(y, batch, m, geo.out_height(), geo.out_width(), out.data());
-    return out;
-  }
-
-  const int64_t rows_per_group = reuse_.scope == ClusterScope::kSingleInput
-                                     ? geo.rows_per_image()
-                                     : n;
-  ReuseClustering clustering;
-  ForwardReuseStats fs;
-  float* y = arena_.AllocFloats(n * m);
-
-  if (reuse_.method == ClusteringMethod::kKMeans ||
-      (exact_backward_ && training)) {
-    // Materialized paths: k-means needs iterative passes over the rows,
-    // and the exact-backward ablation needs the unfolded input alive for
-    // Backward — both keep the N x K matrix (arena-owned).
-    float* cols = arena_.AllocFloats(n * k);
-    {
-      ADR_TRACE_SPAN("im2col");
-      Timer im2col_timer;
-      Im2Col(geo, input.data(), cols);
-      MetricsRegistry::Global()
-          .histogram(metric_prefix_ + "im2col_seconds")
-          ->Record(im2col_timer.ElapsedSeconds());
-    }
-    if (reuse_.method == ClusteringMethod::kKMeans) {
+  } else {
+    const int64_t rows_per_group =
+        reuse_.scope == ClusterScope::kSingleInput ? geo.rows_per_image()
+                                                   : n;
+    ReuseClustering clustering;
+    ForwardReuseStats fs;
+    if (lsh) {
+      const ForwardRows rows = cols != nullptr
+                                   ? ForwardRows::Matrix(cols, n)
+                                   : ForwardRows::Unfold(geo, input.data());
+      ClusteredForward(families_, rows, weight_, &bias_, rows_per_group,
+                       cache_.get(), &arena_, &clusterer_, y, &clustering,
+                       &fs);
+    } else {
       ForwardReuseResult forward = KMeansMatmulForward(
           cols, n, k, reuse_.EffectiveLength(k), weight_, &bias_,
           rows_per_group, reuse_.kmeans_clusters, reuse_.kmeans_iterations,
@@ -163,39 +156,28 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
       clustering = std::move(forward.clustering);
       fs = forward.stats;
       std::copy_n(forward.y_rows.data(), n * m, y);
-    } else {
-      ClusteredMatmulForwardInto(families_, cols, n, weight_, &bias_,
-                                 rows_per_group, cache_.get(), &arena_, y,
-                                 &clustering, &fs);
     }
-    if (training && exact_backward_) cached_cols_data_ = cols;
-  } else {
-    // Fused tiled path: im2col rows stream straight from the NCHW input
-    // into the hash pipeline; the N x K matrix never exists.
-    FusedClusteredForward(families_, geo, input.data(), weight_, &bias_,
-                          rows_per_group, cache_.get(), &arena_,
-                          &clusterer_, y, &clustering, &fs);
-  }
 
-  if (training) {
-    cached_clustering_ = std::move(clustering);
-  } else {
-    clusterer_.Recycle(std::move(clustering));
-  }
+    if (training) {
+      cached_clustering_ = std::move(clustering);
+    } else {
+      clusterer_.Recycle(std::move(clustering));
+    }
 
-  // Telemetry (running mean of r_c; cumulative times and MACs).
-  const double prev_count = static_cast<double>(stats_.forward_calls);
-  stats_.avg_remaining_ratio =
-      (stats_.avg_remaining_ratio * prev_count + fs.avg_remaining_ratio) /
-      (prev_count + 1.0);
-  ++stats_.forward_calls;
-  stats_.hash_seconds += fs.hash_seconds;
-  stats_.gemm_seconds += fs.gemm_seconds;
-  stats_.macs_executed += fs.macs_hash + fs.macs_gemm + fs.macs_scatter;
-  stats_.macs_baseline += fs.macs_baseline;
-  stats_.last_batch_reuse_rate = fs.batch_reuse_rate;
-  PublishForwardMetrics(fs);
-  PublishCacheMetrics();
+    // Telemetry (running mean of r_c; cumulative times and MACs).
+    const double prev_count = static_cast<double>(stats_.forward_calls);
+    stats_.avg_remaining_ratio =
+        (stats_.avg_remaining_ratio * prev_count + fs.avg_remaining_ratio) /
+        (prev_count + 1.0);
+    ++stats_.forward_calls;
+    stats_.hash_seconds += fs.hash_seconds;
+    stats_.gemm_seconds += fs.gemm_seconds;
+    stats_.macs_executed += fs.macs_hash + fs.macs_gemm + fs.macs_scatter;
+    stats_.macs_baseline += fs.macs_baseline;
+    stats_.last_batch_reuse_rate = fs.batch_reuse_rate;
+    PublishForwardMetrics(fs);
+    PublishCacheMetrics();
+  }
   PublishWorkspaceMetrics();
 
   Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));

@@ -104,7 +104,7 @@ class ReuseConv2d : public Layer {
 
   /// Step-scoped scratch; Reset() at the top of every Forward.
   WorkspaceArena arena_;
-  /// Persistent streaming clusterer of the fused path (its tables and the
+  /// Persistent clusterer of every LSH forward (its tables and the
   /// clustering buffers recycled through it survive across steps).
   StreamingSubVectorClusterer clusterer_;
   /// alloc_slabs() value already published, for per-step deltas.
@@ -119,7 +119,8 @@ class ReuseConv2d : public Layer {
   // State cached between Forward and Backward (training mode only).
   ReuseClustering cached_clustering_;
   /// Arena-owned [N, K] unfolded input, valid until the next Reset();
-  /// non-null only when the exact backward needs it.
+  /// non-null only after a training Forward that materialized it (reuse
+  /// off, k-means, or exact backward).
   float* cached_cols_data_ = nullptr;
   int64_t cached_batch_ = 0;
 

@@ -1,8 +1,9 @@
 // Library form of the paper's similarity studies (Section VI-A/B1): given
 // a trained dense model, quantify the r_c-accuracy trade-off of one conv
-// layer under LSH or k-means clustering. The fig7/fig8 benches are thin
-// drivers over these functions; applications can run the same studies on
-// their own models to pick {L, H} settings.
+// layer under LSH or k-means clustering. Applications can run these
+// studies on their own models to pick {L, H} settings. The fig7/fig8
+// benches do not call them: they run their own sweeps over the paper's
+// models and write CSV tables.
 
 #ifndef ADR_CORE_SIMILARITY_STUDY_H_
 #define ADR_CORE_SIMILARITY_STUDY_H_

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "clustering/tile_hash.h"
 #include "tensor/simd.h"
 #include "util/check.h"
 
@@ -49,70 +48,6 @@ Result<BlockLshFamilies> BlockLshFamilies::Create(int64_t k,
   return out;
 }
 
-ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
-                                  const float* x, int64_t num_rows,
-                                  int64_t rows_per_group) {
-  ADR_CHECK_GT(num_rows, 0);
-  ADR_CHECK_GT(rows_per_group, 0);
-  ADR_CHECK_EQ(num_rows % rows_per_group, 0)
-      << "rows_per_group must divide num_rows";
-  const int64_t k = families.k();
-
-  ReuseClustering result;
-  result.num_rows = num_rows;
-  result.num_cols = k;
-  result.blocks.resize(static_cast<size_t>(families.num_blocks()));
-
-  // One hash scratch buffer sized for the widest block serves every
-  // (block, group) hash call; per-call heap churn here measurably slows
-  // the projection GEMMs that follow.
-  int64_t max_scratch = 0;
-  for (int64_t b = 0; b < families.num_blocks(); ++b) {
-    max_scratch = std::max(
-        max_scratch, families.family(b).ScratchFloats(rows_per_group, k));
-  }
-  std::vector<float> hash_scratch(static_cast<size_t>(max_scratch));
-
-  std::vector<LshSignature> sigs;
-  for (int64_t b = 0; b < families.num_blocks(); ++b) {
-    SubMatrixClustering& block = result.blocks[static_cast<size_t>(b)];
-    block.col_offset = families.block_offset(b);
-    block.length = families.block_length(b);
-    const LshFamily& family = families.family(b);
-
-    Clustering& merged = block.clustering;
-    merged.assignment.resize(static_cast<size_t>(num_rows));
-    for (int64_t group_start = 0; group_start < num_rows;
-         group_start += rows_per_group) {
-      sigs.resize(static_cast<size_t>(rows_per_group));
-      family.HashRowsScratch(x + group_start * k + block.col_offset,
-                             rows_per_group, k, hash_scratch.data(),
-                             sigs.data());
-      std::vector<LshSignature> group_cluster_sigs;
-      const Clustering group =
-          ClusterBySignature(sigs, &group_cluster_sigs);
-      const int32_t id_offset =
-          static_cast<int32_t>(merged.cluster_sizes.size());
-      for (int64_t i = 0; i < rows_per_group; ++i) {
-        merged.assignment[static_cast<size_t>(group_start + i)] =
-            id_offset + group.assignment[static_cast<size_t>(i)];
-      }
-      merged.cluster_sizes.insert(merged.cluster_sizes.end(),
-                                  group.cluster_sizes.begin(),
-                                  group.cluster_sizes.end());
-      block.signatures.insert(block.signatures.end(),
-                              group_cluster_sigs.begin(),
-                              group_cluster_sigs.end());
-    }
-
-    block.centroids = ComputeCentroids(x + block.col_offset, num_rows,
-                                       block.length, k, merged);
-    block.reused_from_cache.assign(
-        static_cast<size_t>(merged.num_clusters()), false);
-  }
-  return result;
-}
-
 void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
                                         int64_t num_rows,
                                         int64_t rows_per_group) {
@@ -146,9 +81,9 @@ int64_t StreamingSubVectorClusterer::ScratchFloats(int64_t tile_rows) const {
   ADR_CHECK(families_ != nullptr);
   int64_t max_scratch = 0;
   for (int64_t b = 0; b < families_->num_blocks(); ++b) {
-    const TileRowHasher hasher(&families_->family(b));
     max_scratch = std::max(
-        max_scratch, hasher.ScratchFloats(tile_rows, families_->k()));
+        max_scratch,
+        families_->family(b).ScratchFloats(tile_rows, families_->k()));
   }
   return max_scratch;
 }
@@ -168,15 +103,14 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
     BlockState& bs = blocks_[static_cast<size_t>(b)];
     const int64_t offset = families_->block_offset(b);
     const int64_t length = families_->block_length(b);
-    const TileRowHasher hasher(&families_->family(b));
     bs.tile_sigs.resize(static_cast<size_t>(tile_rows));
-    hasher.HashTile(tile + offset, tile_rows, k, scratch,
-                    bs.tile_sigs.data());
+    families_->family(b).HashRowsScratch(tile + offset, tile_rows, k, scratch,
+                                         bs.tile_sigs.data());
 
-    // Serial per-row pass in ascending global row order: id assignment
-    // replays ClusterBySignature's first-seen order (with the per-group
-    // reset), and the centroid sums accumulate in ComputeCentroids' row
-    // order, so both are bit-identical to the materialized path.
+    // Serial per-row pass in ascending global row order: ids follow
+    // ClusterBySignature's first-seen order (with the per-group reset) and
+    // the centroid sums accumulate in ComputeCentroids' row order, so the
+    // result is independent of the tiling.
     for (int64_t i = 0; i < tile_rows; ++i) {
       const int64_t row = row_begin + i;
       if (row % rows_per_group_ == 0) {

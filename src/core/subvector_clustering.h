@@ -1,7 +1,8 @@
 // Sub-vector clustering: splits the unfolded input matrix x (N x K)
 // column-wise into sub-matrices of width L and LSH-clusters the rows of
 // each independently (paper Fig. 3). The result is the shared artifact of
-// forward and backward reuse.
+// forward and backward reuse. The bitwise reference clusterer the tests
+// check this one against lives in tests/clustered_forward_reference.h.
 
 #ifndef ADR_CORE_SUBVECTOR_CLUSTERING_H_
 #define ADR_CORE_SUBVECTOR_CLUSTERING_H_
@@ -75,39 +76,31 @@ class BlockLshFamilies {
   std::vector<int64_t> lengths_;
 };
 
-/// \brief Clusters the rows of `x` (num_rows x k, row-major) per block.
+/// \brief The LSH clusterer of every forward pass, fed consecutive row
+/// tiles of the unfolded matrix x (N x K).
 ///
-/// `rows_per_group` controls the clustering scope: rows are clustered in
-/// consecutive groups of that size with cluster IDs never shared across
-/// groups (pass num_rows for single-batch scope, N_img for single-input
-/// scope). Centroids are computed from the raw (unnormalized) sub-vectors;
-/// signatures are sign-invariant to scaling so no explicit normalization is
-/// needed for the angular metric.
-ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
-                                  const float* x, int64_t num_rows,
-                                  int64_t rows_per_group);
-
-/// \brief Incremental ClusterSubVectors over consecutive row tiles.
-///
-/// The fused forward feeds the unfolded matrix as L2-sized tiles
-/// (Im2ColRows output) and this clusterer reproduces ClusterSubVectors
-/// bit-for-bit without the N x K matrix ever existing:
-///   - signatures go through the same batched projection GEMM, whose
-///     per-row results are independent of how rows are tiled;
-///   - cluster ids are assigned in the same first-seen order with the
-///     same reset at every rows_per_group boundary (tiles need not align
-///     with group boundaries);
-///   - centroid sums accumulate in the same ascending row order with the
-///     same SIMD kernels, and are scaled once in ascending cluster order
-///     at Finish — exactly ComputeCentroids' operation order.
+/// Each block's rows are hashed with one batched projection GEMM per tile
+/// and grouped in first-seen order. `rows_per_group` sets the clustering
+/// scope: rows cluster in consecutive groups of that size and never share
+/// a cluster across groups (num_rows for single-batch scope, N_img for
+/// single-input scope). Tiles need not align with group boundaries.
+/// Centroids are the means of the raw (unnormalized) sub-vectors:
+/// signatures are invariant to positive scaling, so the angular metric
+/// needs no explicit normalization. The result does not depend on how
+/// rows are tiled:
+///   - each row's signature is independent of the other rows in its tile;
+///   - ids are assigned in ascending row order, with the table reset at
+///     every rows_per_group boundary;
+///   - centroid sums accumulate in ascending row order and are scaled once
+///     per cluster, in ascending cluster order, at Finish.
 ///
 /// All buffers persist across Begin/Finish cycles; pair Finish with a
 /// later Recycle() of the returned ReuseClustering so steady-state
 /// training at fixed shapes performs zero heap allocations here.
 class StreamingSubVectorClusterer {
  public:
-  /// \brief Starts a clustering of `num_rows` width-k rows; scope as in
-  /// ClusterSubVectors. `families` must outlive the cycle.
+  /// \brief Starts a clustering of `num_rows` width-k rows in groups of
+  /// `rows_per_group`. `families` must outlive the cycle.
   void Begin(const BlockLshFamilies* families, int64_t num_rows,
              int64_t rows_per_group);
 

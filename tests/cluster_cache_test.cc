@@ -1,6 +1,7 @@
 // Tests for the slab-backed cluster-reuse cache: differential
-// bit-exactness against the original map-based implementation (preserved
-// in core/cluster_cache_reference.h), batched-lookup consistency,
+// bit-exactness of the forward against the original map-based
+// implementation (tests/clustered_forward_reference.h), unbounded and
+// under entry and byte budgets, batched-lookup consistency,
 // second-chance eviction under entry and byte budgets, the
 // zero-allocation steady state, and concurrent read thread safety (run
 // under TSan via scripts/tsan_tests.txt).
@@ -14,11 +15,11 @@
 #include <vector>
 
 #include "core/cluster_cache.h"
-#include "core/cluster_cache_reference.h"
 #include "core/clustered_matmul.h"
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
 #include "kernel_harness.h"
+#include "tests/clustered_forward_reference.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
@@ -44,106 +45,6 @@ LshSignature MakeSignature(uint64_t a, uint64_t b = 0) {
   return sig;
 }
 
-// ---------------------------------------------------------------------------
-// Differential forward: the original FinishForwardFromClustering logic,
-// verbatim over the ReferenceClusterCache (sequential Find per cluster,
-// memcpy on hit, compact gather-GEMM over the misses, per-miss Insert in
-// ascending cluster order). The production path through the slab cache
-// must reproduce its outputs, hit/miss decisions, and counters
-// bit-exactly at unbounded capacity.
-
-struct ReferenceForwardResult {
-  Tensor y;
-  /// reused_from_cache per block, indexed [block][cluster].
-  std::vector<std::vector<bool>> reused;
-  int64_t clusters_total = 0;
-  int64_t clusters_reused = 0;
-};
-
-ReferenceForwardResult ReferenceForward(const BlockLshFamilies& families,
-                                        const float* x, int64_t num_rows,
-                                        const Tensor& weight,
-                                        const Tensor* bias,
-                                        int64_t rows_per_group,
-                                        ReferenceClusterCache* cache) {
-  ReuseClustering clustering =
-      ClusterSubVectors(families, x, num_rows, rows_per_group);
-  const int64_t m = weight.shape()[1];
-  ReferenceForwardResult result;
-  result.y = Tensor(Shape({num_rows, m}));
-  float* y = result.y.data();
-  std::fill_n(y, static_cast<size_t>(num_rows * m), 0.0f);
-  const simd::Kernels& kernels = simd::Active();
-
-  for (size_t bi = 0; bi < clustering.blocks.size(); ++bi) {
-    SubMatrixClustering& block = clustering.blocks[bi];
-    const int64_t num_clusters = block.clustering.num_clusters();
-    const int64_t length = block.length;
-    const float* w_block = weight.data() + block.col_offset * m;
-    result.clusters_total += num_clusters;
-    result.reused.emplace_back(static_cast<size_t>(num_clusters), false);
-
-    std::vector<float> yc(static_cast<size_t>(num_clusters * m));
-    std::vector<int32_t> miss_clusters;
-    for (int64_t c = 0; c < num_clusters; ++c) {
-      const ReferenceClusterCache::Entry* entry =
-          cache->Find(static_cast<int64_t>(bi), block.signatures[c]);
-      if (entry != nullptr) {
-        std::memcpy(yc.data() + c * m, entry->output.data(),
-                    sizeof(float) * static_cast<size_t>(m));
-        std::memcpy(block.centroids.data() + c * length,
-                    entry->representative.data(),
-                    sizeof(float) * static_cast<size_t>(length));
-        result.reused.back()[static_cast<size_t>(c)] = true;
-        ++result.clusters_reused;
-      } else {
-        miss_clusters.push_back(static_cast<int32_t>(c));
-      }
-    }
-
-    const int64_t num_miss = static_cast<int64_t>(miss_clusters.size());
-    if (num_miss > 0) {
-      if (num_miss == num_clusters) {
-        Gemm(block.centroids.data(), w_block, yc.data(), num_clusters,
-             length, m);
-      } else {
-        std::vector<float> compact(static_cast<size_t>(num_miss * length));
-        std::vector<float> compact_y(static_cast<size_t>(num_miss * m));
-        for (int64_t i = 0; i < num_miss; ++i) {
-          std::memcpy(compact.data() + i * length,
-                      block.centroids.data() + miss_clusters[i] * length,
-                      sizeof(float) * static_cast<size_t>(length));
-        }
-        Gemm(compact.data(), w_block, compact_y.data(), num_miss, length, m);
-        for (int64_t i = 0; i < num_miss; ++i) {
-          std::memcpy(yc.data() + miss_clusters[i] * m,
-                      compact_y.data() + i * m,
-                      sizeof(float) * static_cast<size_t>(m));
-        }
-      }
-      for (int64_t i = 0; i < num_miss; ++i) {
-        const int64_t c = miss_clusters[i];
-        ReferenceClusterCache::Entry entry;
-        entry.representative.assign(block.centroids.data() + c * length,
-                                    block.centroids.data() + (c + 1) * length);
-        entry.output.assign(yc.data() + c * m, yc.data() + (c + 1) * m);
-        cache->Insert(static_cast<int64_t>(bi), block.signatures[c],
-                      std::move(entry));
-      }
-    }
-
-    for (int64_t i = 0; i < num_rows; ++i) {
-      kernels.add(yc.data() +
-                      block.clustering.assignment[static_cast<size_t>(i)] * m,
-                  y + i * m, m);
-    }
-  }
-  if (bias != nullptr) {
-    AddRowBias(bias->data(), y, num_rows, m);
-  }
-  return result;
-}
-
 // Batches of noisy prototype rows: overlapping prototypes across batches
 // produce a realistic mix of cache hits and misses every batch.
 Tensor PrototypeBatch(int64_t n, int64_t k, int batch_index, Rng* rng) {
@@ -161,58 +62,91 @@ Tensor PrototypeBatch(int64_t n, int64_t k, int batch_index, Rng* rng) {
   return x;
 }
 
+// The production forward through a ClusterReuseCache against
+// ReferenceForward through a ReferenceClusterCache, both under the same
+// budgets, over the same batch stream, at every backend and at 1 and 4
+// threads. Outputs, hit decisions, counters, evictions, entries and
+// resident bytes must agree exactly after every batch. Unbounded, nothing
+// is evicted; each budget (entries, bytes, both) is small enough that
+// every batch evicts.
 TEST(ClusterCacheDifferentialTest, MatchesReferenceMapBitExactly) {
-  constexpr int64_t kN = 48, kK = 20, kM = 7;
+  constexpr int64_t kN = 48, kK = 20, kL = 10, kM = 7;
   constexpr int kBatches = 5;
+  constexpr int64_t kEntryBytes =
+      static_cast<int64_t>(sizeof(LshSignature)) +
+      (kL + kM) * static_cast<int64_t>(sizeof(float));
+  struct Budget {
+    int64_t entries;
+    int64_t bytes;
+  };
+  const Budget budgets[] = {{0, 0},
+                            {6, 0},
+                            {0, 5 * kEntryBytes + kEntryBytes / 2},
+                            {7, 5 * kEntryBytes}};
   Rng rng(11);
   Tensor w = Tensor::RandomGaussian(Shape({kK, kM}), &rng);
   Tensor bias = Tensor::RandomGaussian(Shape({kM}), &rng);
-  auto families = BlockLshFamilies::Create(kK, 10, 12, 3);
+  auto families = BlockLshFamilies::Create(kK, kL, 12, 3);
   ASSERT_TRUE(families.ok());
 
   ThreadCountGuard guard;
-  for (const simd::Kernels* kernels : testutil::Backends()) {
-    simd::ScopedKernelsOverride override_kernels(*kernels);
-    for (int threads : {1, 4}) {
-      ThreadPool::SetGlobalThreads(threads);
-      ClusterReuseCache cache;
-      ReferenceClusterCache reference;
-      Rng data_rng(77);  // same batch stream for every configuration
-      for (int batch = 0; batch < kBatches; ++batch) {
-        const Tensor x = PrototypeBatch(kN, kK, batch, &data_rng);
-        const ForwardReuseResult ours = ClusteredMatmulForward(
-            *families, x.data(), kN, w, &bias, kN, &cache);
-        const ReferenceForwardResult expected = ReferenceForward(
-            *families, x.data(), kN, w, &bias, kN, &reference);
+  for (const Budget& budget : budgets) {
+    const bool bounded = budget.entries > 0 || budget.bytes > 0;
+    for (const simd::Kernels* kernels : testutil::Backends()) {
+      simd::ScopedKernelsOverride override_kernels(*kernels);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(kernels->name) + " threads=" +
+                     std::to_string(threads) + " max_entries=" +
+                     std::to_string(budget.entries) +
+                     " max_bytes=" + std::to_string(budget.bytes));
+        ThreadPool::SetGlobalThreads(threads);
+        ClusterReuseCache cache;
+        ReferenceClusterCache reference;
+        cache.set_max_entries(budget.entries);
+        cache.set_max_bytes(budget.bytes);
+        reference.set_max_entries(budget.entries);
+        reference.set_max_bytes(budget.bytes);
+        Rng data_rng(77);  // same batch stream for every configuration
+        for (int batch = 0; batch < kBatches; ++batch) {
+          const int64_t evictions_before = cache.evictions();
+          const Tensor x = PrototypeBatch(kN, kK, batch, &data_rng);
+          const ForwardReuseResult ours = ClusteredMatmulForward(
+              *families, x.data(), kN, w, &bias, kN, &cache);
+          const ReferenceForwardResult expected = ReferenceForward(
+              *families, x.data(), kN, w, &bias, kN, &reference);
 
-        // Forward outputs: bitwise equal, not merely close.
-        ASSERT_EQ(MaxAbsDiff(ours.y_rows, expected.y),
-                  0.0f)
-            << "backend=" << kernels->name << " threads=" << threads
-            << " batch=" << batch;
-        // Identical hit/miss decisions, cluster by cluster.
-        ASSERT_EQ(ours.clustering.blocks.size(), expected.reused.size());
-        for (size_t bi = 0; bi < expected.reused.size(); ++bi) {
-          const auto& ours_reused =
-              ours.clustering.blocks[bi].reused_from_cache;
-          ASSERT_EQ(ours_reused.size(), expected.reused[bi].size());
-          for (size_t c = 0; c < ours_reused.size(); ++c) {
-            ASSERT_EQ(ours_reused[c], expected.reused[bi][c])
-                << "block " << bi << " cluster " << c << " batch " << batch;
+          // Forward outputs: bitwise equal, not merely close.
+          ASSERT_EQ(MaxAbsDiff(ours.y_rows, expected.y), 0.0f)
+              << "batch " << batch;
+          // Identical hit/miss decisions, cluster by cluster.
+          ASSERT_EQ(ours.clustering.blocks.size(),
+                    expected.clustering.blocks.size());
+          for (size_t bi = 0; bi < expected.clustering.blocks.size(); ++bi) {
+            ASSERT_EQ(ours.clustering.blocks[bi].reused_from_cache,
+                      expected.clustering.blocks[bi].reused_from_cache)
+                << "block " << bi << " batch " << batch;
           }
+          ASSERT_EQ(ours.stats.clusters_reused, expected.clusters_reused);
+          ASSERT_EQ(ours.stats.clusters_total, expected.clusters_total);
+          ASSERT_EQ(cache.evictions(), reference.evictions());
+          ASSERT_EQ(cache.TotalEntries(), reference.TotalEntries());
+          ASSERT_EQ(cache.ResidentBytes(),
+                    reference.ApproximateMemoryBytes());
+          ASSERT_EQ(cache.evictions() > evictions_before, bounded)
+              << "batch " << batch;
         }
-        ASSERT_EQ(ours.stats.clusters_reused, expected.clusters_reused);
-        ASSERT_EQ(ours.stats.clusters_total, expected.clusters_total);
+        // Cumulative counters and R agree with the reference's.
+        EXPECT_GT(cache.hits(), 0);
+        EXPECT_EQ(cache.lookups(), reference.lookups());
+        EXPECT_EQ(cache.hits(), reference.hits());
+        EXPECT_DOUBLE_EQ(cache.ReuseRate(), reference.ReuseRate());
+        if (budget.entries > 0) {
+          EXPECT_LE(cache.TotalEntries(), budget.entries);
+        }
+        if (budget.bytes > 0) {
+          EXPECT_LE(cache.ResidentBytes(), budget.bytes);
+        }
       }
-      // Cumulative counters, R, occupancy, and exact memory accounting
-      // agree with the reference's full walks.
-      EXPECT_GT(cache.hits(), 0);
-      EXPECT_EQ(cache.lookups(), reference.lookups());
-      EXPECT_EQ(cache.hits(), reference.hits());
-      EXPECT_DOUBLE_EQ(cache.ReuseRate(), reference.ReuseRate());
-      EXPECT_EQ(cache.TotalEntries(), reference.TotalEntries());
-      EXPECT_EQ(cache.ResidentBytes(), reference.ApproximateMemoryBytes());
-      EXPECT_EQ(cache.evictions(), 0);
     }
   }
 }

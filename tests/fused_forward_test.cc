@@ -1,8 +1,11 @@
-// Differential tests for the fused tiled forward: FusedClusteredForward
-// must be bit-identical to ClusteredMatmulForward on the materialized
-// Im2Col matrix — same signatures, same clusterings, same outputs — at
-// every compiled SIMD backend and thread count, with and without the
-// cluster-reuse cache, and across tile/group boundary misalignment.
+// Differential tests for the LSH forward driver, ClusteredForward. With
+// either row source (an NCHW input unfolded tile by tile, or the
+// materialized Im2Col matrix read in place) it must be bit-identical to
+// ReferenceForward (tests/clustered_forward_reference.h): same
+// signatures, clusterings, hit decisions and outputs. Checked at every
+// compiled SIMD backend and thread count, with and without the
+// cluster-reuse cache, across tile/group boundary misalignment, with
+// recycled buffers, and through ReuseConv2d.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "tensor/im2col.h"
 #include "tensor/simd.h"
 #include "tensor/workspace_arena.h"
+#include "tests/clustered_forward_reference.h"
 #include "tests/kernel_harness.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -33,7 +37,7 @@ class ThreadCountGuard {
   int saved_;
 };
 
-// Geometry chosen so the fused path runs several L2 tiles whose
+// Geometry chosen so the driver runs several L2 tiles whose
 // boundaries do NOT align with the per-image group boundaries:
 // K = 32*5*5 = 800 gives L2TileRows = 64, while each 7x7 image
 // contributes 49 rows.
@@ -64,71 +68,97 @@ ConvGeometry SingleTileGeometry(int64_t batch) {
   return geo;
 }
 
-void ExpectSameClustering(const ReuseClustering& fused,
+void ExpectSameClustering(const ReuseClustering& actual,
                           const ReuseClustering& reference) {
-  ASSERT_EQ(fused.num_rows, reference.num_rows);
-  ASSERT_EQ(fused.num_cols, reference.num_cols);
-  ASSERT_EQ(fused.blocks.size(), reference.blocks.size());
-  for (size_t b = 0; b < fused.blocks.size(); ++b) {
-    const SubMatrixClustering& fb = fused.blocks[b];
+  ASSERT_EQ(actual.num_rows, reference.num_rows);
+  ASSERT_EQ(actual.num_cols, reference.num_cols);
+  ASSERT_EQ(actual.blocks.size(), reference.blocks.size());
+  for (size_t b = 0; b < actual.blocks.size(); ++b) {
+    const SubMatrixClustering& ab = actual.blocks[b];
     const SubMatrixClustering& rb = reference.blocks[b];
-    EXPECT_EQ(fb.col_offset, rb.col_offset) << "block " << b;
-    EXPECT_EQ(fb.length, rb.length) << "block " << b;
-    EXPECT_EQ(fb.clustering.assignment, rb.clustering.assignment)
+    EXPECT_EQ(ab.col_offset, rb.col_offset) << "block " << b;
+    EXPECT_EQ(ab.length, rb.length) << "block " << b;
+    EXPECT_EQ(ab.clustering.assignment, rb.clustering.assignment)
         << "block " << b;
-    EXPECT_EQ(fb.clustering.cluster_sizes, rb.clustering.cluster_sizes)
+    EXPECT_EQ(ab.clustering.cluster_sizes, rb.clustering.cluster_sizes)
         << "block " << b;
-    ASSERT_EQ(fb.signatures.size(), rb.signatures.size()) << "block " << b;
-    for (size_t c = 0; c < fb.signatures.size(); ++c) {
-      EXPECT_TRUE(fb.signatures[c] == rb.signatures[c])
+    EXPECT_EQ(ab.reused_from_cache, rb.reused_from_cache) << "block " << b;
+    ASSERT_EQ(ab.signatures.size(), rb.signatures.size()) << "block " << b;
+    for (size_t c = 0; c < ab.signatures.size(); ++c) {
+      EXPECT_TRUE(ab.signatures[c] == rb.signatures[c])
           << "block " << b << " cluster " << c;
     }
-    ASSERT_EQ(fb.centroids.shape(), rb.centroids.shape()) << "block " << b;
-    const float* fc = fb.centroids.data();
+    ASSERT_EQ(ab.centroids.shape(), rb.centroids.shape()) << "block " << b;
+    const float* ac = ab.centroids.data();
     const float* rc = rb.centroids.data();
-    for (int64_t i = 0; i < fb.centroids.num_elements(); ++i) {
-      ASSERT_EQ(fc[i], rc[i]) << "block " << b << " centroid element " << i;
+    for (int64_t i = 0; i < ab.centroids.num_elements(); ++i) {
+      ASSERT_EQ(ac[i], rc[i]) << "block " << b << " centroid element " << i;
     }
   }
 }
 
-// Runs both paths on one input and checks bitwise equality of signatures,
-// clusterings, and outputs. Caches (when provided) must be separate
-// instances in identical states.
-void ExpectFusedMatchesMaterialized(const BlockLshFamilies& families,
-                                    const ConvGeometry& geo,
-                                    const Tensor& input, const Tensor& weight,
-                                    const Tensor& bias,
-                                    int64_t rows_per_group,
-                                    ClusterReuseCache* fused_cache,
-                                    ClusterReuseCache* materialized_cache) {
+// The three caches of one differential run, in identical states: one per
+// row source of the production driver, and the reference's.
+struct Caches {
+  ClusterReuseCache unfold;
+  ClusterReuseCache matrix;
+  ReferenceClusterCache reference;
+};
+
+void ExpectSameStats(const ForwardReuseStats& stats,
+                     const ReferenceForwardResult& reference) {
+  EXPECT_EQ(stats.clusters_total, reference.clusters_total);
+  EXPECT_EQ(stats.clusters_reused, reference.clusters_reused);
+  EXPECT_DOUBLE_EQ(stats.batch_reuse_rate,
+                   static_cast<double>(reference.clusters_reused) /
+                       static_cast<double>(reference.clusters_total));
+}
+
+// Runs the production driver with both row sources and ReferenceForward
+// on one input, and checks bitwise equality of signatures, clusterings,
+// hit decisions and outputs.
+void ExpectDriverMatchesReference(const BlockLshFamilies& families,
+                                  const ConvGeometry& geo,
+                                  const Tensor& input, const Tensor& weight,
+                                  const Tensor& bias, int64_t rows_per_group,
+                                  Caches* caches) {
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
   const int64_t m = weight.shape()[1];
 
   Tensor cols(Shape({n, k}));
   Im2Col(geo, input, &cols);
-  const ForwardReuseResult reference =
-      ClusteredMatmulForward(families, cols.data(), n, weight, &bias,
-                             rows_per_group, materialized_cache);
+  const ReferenceForwardResult reference = ReferenceForward(
+      families, cols.data(), n, weight, &bias, rows_per_group,
+      caches == nullptr ? nullptr : &caches->reference);
 
-  WorkspaceArena arena;
-  StreamingSubVectorClusterer clusterer;
-  std::vector<float> y(static_cast<size_t>(n * m));
-  ReuseClustering clustering;
-  ForwardReuseStats fs;
-  FusedClusteredForward(families, geo, input.data(), weight, &bias,
-                        rows_per_group, fused_cache, &arena, &clusterer,
-                        y.data(), &clustering, &fs);
-
-  const float* ry = reference.y_rows.data();
-  for (int64_t i = 0; i < n * m; ++i) {
-    ASSERT_EQ(y[static_cast<size_t>(i)], ry[i]) << "output element " << i;
+  const struct {
+    const char* name;
+    ForwardRows rows;
+    ClusterReuseCache* cache;
+  } sources[] = {
+      {"unfold", ForwardRows::Unfold(geo, input.data()),
+       caches == nullptr ? nullptr : &caches->unfold},
+      {"matrix", ForwardRows::Matrix(cols.data(), n),
+       caches == nullptr ? nullptr : &caches->matrix},
+  };
+  for (const auto& source : sources) {
+    SCOPED_TRACE(source.name);
+    WorkspaceArena arena;
+    StreamingSubVectorClusterer clusterer;
+    std::vector<float> y(static_cast<size_t>(n * m));
+    ReuseClustering clustering;
+    ForwardReuseStats fs;
+    ClusteredForward(families, source.rows, weight, &bias, rows_per_group,
+                     source.cache, &arena, &clusterer, y.data(), &clustering,
+                     &fs);
+    const float* ry = reference.y.data();
+    for (int64_t i = 0; i < n * m; ++i) {
+      ASSERT_EQ(y[static_cast<size_t>(i)], ry[i]) << "output element " << i;
+    }
+    ExpectSameClustering(clustering, reference.clustering);
+    ExpectSameStats(fs, reference);
   }
-  ExpectSameClustering(clustering, reference.clustering);
-  EXPECT_EQ(fs.clusters_total, reference.stats.clusters_total);
-  EXPECT_EQ(fs.clusters_reused, reference.stats.clusters_reused);
-  EXPECT_DOUBLE_EQ(fs.batch_reuse_rate, reference.stats.batch_reuse_rate);
 }
 
 TEST(FusedForwardTest, MatchesMaterializedAcrossBackendsAndThreads) {
@@ -153,8 +183,8 @@ TEST(FusedForwardTest, MatchesMaterializedAcrossBackendsAndThreads) {
       SCOPED_TRACE(std::string(backend->name) + " threads=" +
                    std::to_string(threads));
       ThreadPool::SetGlobalThreads(threads);
-      ExpectFusedMatchesMaterialized(*families, geo, input, weight, bias,
-                                     /*rows_per_group=*/n, nullptr, nullptr);
+      ExpectDriverMatchesReference(*families, geo, input, weight, bias,
+                                     /*rows_per_group=*/n, nullptr);
     }
   }
 }
@@ -175,8 +205,8 @@ TEST(FusedForwardTest, MatchesMaterializedWithMisalignedGroupBoundaries) {
   auto families = BlockLshFamilies::Create(k, 160, 8, 6);
   ASSERT_TRUE(families.ok());
 
-  ExpectFusedMatchesMaterialized(*families, geo, input, weight, bias,
-                                 geo.rows_per_image(), nullptr, nullptr);
+  ExpectDriverMatchesReference(*families, geo, input, weight, bias,
+                                 geo.rows_per_image(), nullptr);
 }
 
 TEST(FusedForwardTest, MatchesMaterializedSingleTile) {
@@ -191,8 +221,8 @@ TEST(FusedForwardTest, MatchesMaterializedSingleTile) {
   auto families = BlockLshFamilies::Create(k, 9, 12, 7);
   ASSERT_TRUE(families.ok());
 
-  ExpectFusedMatchesMaterialized(*families, geo, input, weight, bias,
-                                 geo.unfolded_rows(), nullptr, nullptr);
+  ExpectDriverMatchesReference(*families, geo, input, weight, bias,
+                                 geo.unfolded_rows(), nullptr);
 }
 
 TEST(FusedForwardTest, MatchesMaterializedWithClusterReuseCache) {
@@ -206,8 +236,7 @@ TEST(FusedForwardTest, MatchesMaterializedWithClusterReuseCache) {
   auto families = BlockLshFamilies::Create(k, 200, 6, 8);
   ASSERT_TRUE(families.ok());
 
-  ClusterReuseCache fused_cache;
-  ClusterReuseCache materialized_cache;
+  Caches caches;
   const Tensor batch1 = Tensor::RandomGaussian(
       Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}),
       &rng);
@@ -217,21 +246,21 @@ TEST(FusedForwardTest, MatchesMaterializedWithClusterReuseCache) {
     batch2.data()[i] += rng.NextGaussian() * 1e-4f;
   }
 
-  ExpectFusedMatchesMaterialized(*families, geo, batch1, weight, bias,
-                                 geo.unfolded_rows(), &fused_cache,
-                                 &materialized_cache);
-  ExpectFusedMatchesMaterialized(*families, geo, batch2, weight, bias,
-                                 geo.unfolded_rows(), &fused_cache,
-                                 &materialized_cache);
-  EXPECT_GT(fused_cache.hits(), 0);
-  EXPECT_EQ(fused_cache.hits(), materialized_cache.hits());
-  EXPECT_EQ(fused_cache.lookups(), materialized_cache.lookups());
+  ExpectDriverMatchesReference(*families, geo, batch1, weight, bias,
+                               geo.unfolded_rows(), &caches);
+  ExpectDriverMatchesReference(*families, geo, batch2, weight, bias,
+                               geo.unfolded_rows(), &caches);
+  EXPECT_GT(caches.unfold.hits(), 0);
+  for (const ClusterReuseCache* cache : {&caches.unfold, &caches.matrix}) {
+    EXPECT_EQ(cache->hits(), caches.reference.hits());
+    EXPECT_EQ(cache->lookups(), caches.reference.lookups());
+  }
 }
 
 TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
-  // Same FusedClusteredForward driven through one persistent clusterer
-  // and arena for several steps (with Recycle between them, as the layer
-  // does) must keep producing the same bits as a fresh run.
+  // One persistent clusterer and arena driven for several steps (with
+  // Recycle between them, as the layer does), alternating the row
+  // sources, must keep producing the reference's bits.
   const ConvGeometry geo = MultiTileGeometry(2);
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
@@ -244,24 +273,26 @@ TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
   const Tensor bias = Tensor::RandomGaussian(Shape({m}), &rng);
   auto families = BlockLshFamilies::Create(k, 100, 10, 9);
   ASSERT_TRUE(families.ok());
+  Tensor cols(Shape({n, k}));
+  Im2Col(geo, input, &cols);
+  const ReferenceForwardResult reference =
+      ReferenceForward(*families, cols.data(), n, weight, &bias, n, nullptr);
 
   WorkspaceArena arena;
   StreamingSubVectorClusterer clusterer;
-  std::vector<float> first;
-  for (int step = 0; step < 3; ++step) {
+  for (int step = 0; step < 4; ++step) {
     arena.Reset();
     float* y = arena.AllocFloats(n * m);
     ReuseClustering clustering;
     ForwardReuseStats fs;
-    FusedClusteredForward(*families, geo, input.data(), weight, &bias, n,
-                          nullptr, &arena, &clusterer, y, &clustering, &fs);
-    if (step == 0) {
-      first.assign(y, y + n * m);
-    } else {
-      for (int64_t i = 0; i < n * m; ++i) {
-        ASSERT_EQ(y[i], first[static_cast<size_t>(i)])
-            << "step " << step << " element " << i;
-      }
+    const ForwardRows rows = step % 2 == 0
+                                 ? ForwardRows::Unfold(geo, input.data())
+                                 : ForwardRows::Matrix(cols.data(), n);
+    ClusteredForward(*families, rows, weight, &bias, n, nullptr, &arena,
+                     &clusterer, y, &clustering, &fs);
+    for (int64_t i = 0; i < n * m; ++i) {
+      ASSERT_EQ(y[i], reference.y.data()[i])
+          << "step " << step << " element " << i;
     }
     clusterer.Recycle(std::move(clustering));
   }
@@ -269,9 +300,9 @@ TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
 
 TEST(FusedForwardTest, ReuseConv2dFusedMatchesMaterializedLayer) {
   // Layer-level differential: with exact_backward set, the training
-  // Forward takes the materialized path; the default layer takes the
-  // fused path. Identically seeded weights must give bitwise-equal
-  // outputs.
+  // Forward materializes im2col and the driver reads it as a matrix; the
+  // default layer unfolds tile by tile. Identically seeded weights must
+  // give bitwise-equal outputs.
   Conv2dConfig config;
   config.in_channels = 32;
   config.out_channels = 12;
@@ -304,7 +335,7 @@ TEST(FusedForwardTest, ReuseConv2dFusedMatchesMaterializedLayer) {
 }
 
 TEST(FusedForwardTest, ReuseConv2dEvalMatchesTrainingOutput) {
-  // Eval mode takes the fused path and caches nothing; without a
+  // Eval mode unfolds tile by tile and caches nothing; without a
   // cluster-reuse cache the forward is pure, so eval and training
   // outputs are bitwise equal and repeated eval calls are stable.
   Conv2dConfig config;

@@ -7,6 +7,7 @@
 #include "core/reuse_backward.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
+#include "tests/clustered_forward_reference.h"
 #include "util/rng.h"
 
 namespace adr {

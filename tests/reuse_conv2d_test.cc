@@ -121,9 +121,37 @@ TEST(ReuseConv2dTest, ExactBackwardFlagMatchesConv2dAlways) {
   Tensor exact_gin = baseline.Backward(grad_out);
   reuse.Forward(in, true);
   Tensor reuse_gin = reuse.Backward(grad_out);
-  EXPECT_LT(MaxAbsDiff(reuse_gin, exact_gin), 1e-4f);
-  EXPECT_LT(MaxAbsDiff(*reuse.Gradients()[0], *baseline.Gradients()[0]),
-            1e-4f);
+  // Both layers run the same Im2Col, GemmTransA, ColumnSumsInto and
+  // ConvBackwardInput: the gradients are bitwise equal.
+  EXPECT_EQ(MaxAbsDiff(reuse_gin, exact_gin), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(*reuse.Gradients()[0], *baseline.Gradients()[0]),
+            0.0f);
+  EXPECT_EQ(MaxAbsDiff(*reuse.Gradients()[1], *baseline.Gradients()[1]),
+            0.0f);
+}
+
+TEST(ReuseConv2dTest, DisabledMatchesConv2dBitwise) {
+  // With reuse off the layer is Conv2d: the same Im2Col/Gemm forward and
+  // the same exact backward, so outputs and gradients are bitwise equal.
+  ReuseConfig off;
+  off.enabled = false;
+  Rng rng1(8), rng2(8);
+  Conv2d baseline("conv", SmallConv(), &rng1);
+  ReuseConv2d reuse("conv_r", SmallConv(), off, &rng2);
+  reuse.CopyWeightsFrom(baseline);
+
+  Rng data_rng(9);
+  Tensor in = Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng);
+  Tensor grad_out = Tensor::RandomGaussian(Shape({2, 4, 6, 6}), &data_rng);
+  EXPECT_EQ(MaxAbsDiff(reuse.Forward(in, true), baseline.Forward(in, true)),
+            0.0f);
+  EXPECT_EQ(MaxAbsDiff(reuse.Backward(grad_out), baseline.Backward(grad_out)),
+            0.0f);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(
+        MaxAbsDiff(*reuse.Gradients()[i], *baseline.Gradients()[i]), 0.0f)
+        << "gradient " << i;
+  }
 }
 
 TEST(ReuseConv2dTest, SetReuseConfigValidates) {

@@ -1,10 +1,13 @@
-// Tests for ReuseConfig, BlockLshFamilies and ClusterSubVectors.
+// Tests for ReuseConfig, BlockLshFamilies and the reference clusterer
+// ClusterSubVectors (tests/clustered_forward_reference.h), whose bits the
+// production StreamingSubVectorClusterer must match (fused_forward_test).
 
 #include <gtest/gtest.h>
 
 #include "core/reuse_config.h"
 #include "core/subvector_clustering.h"
 #include "tensor/tensor.h"
+#include "tests/clustered_forward_reference.h"
 #include "util/rng.h"
 
 namespace adr {
