@@ -17,9 +17,12 @@
 #include "clustering/exact_dedup.h"
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
+#include "data/synthetic_images.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "tests/clustered_forward_reference.h"
+#include "util/check.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -120,12 +123,61 @@ BENCHMARK(BM_ReuseBackward)->Apply([](benchmark::internal::Benchmark* b) {
   ThreadsLHArgs(b, {{100, 8}, {25, 12}});
 });
 
-void BM_ClusterOnly(benchmark::State& state) {
+// An unfolded matrix for BM_ClusterOnly, with its width and row count.
+struct ClusterRows {
+  const float* x;
+  int64_t k;
+  int64_t n;
+};
+
+ClusterRows FlatRows() {
+  return {SharedWorkload().x.data(), Workload::kK, Workload::kN};
+}
+
+// AlexNet conv1 at the training-step benchmark's scale: 16 synthetic
+// 67x67x3 images (smooth class templates, translated, plus noise) unfolded
+// by 11x11 stride-4 windows, K = 363 and N = 16 * 15 * 15 = 3600.
+ClusterRows AlexNetConv1Rows() {
+  static const Tensor* cols = [] {
+    SyntheticImageConfig config = SyntheticImageConfig::CifarLike(16, 0);
+    config.num_classes = 12;
+    config.height = 67;
+    config.width = 67;
+    config.structured_noise = 0.4f;
+    config.blob_radius_fraction = 0.35f;
+    config.max_translation = 8;
+    const Result<SyntheticImageDataset> data =
+        SyntheticImageDataset::Create(config);
+    ADR_CHECK(data.ok()) << data.status().ToString();
+    ConvGeometry geo;
+    geo.batch = 16;
+    geo.in_channels = 3;
+    geo.in_height = 67;
+    geo.in_width = 67;
+    geo.kernel_h = 11;
+    geo.kernel_w = 11;
+    geo.stride = 4;
+    geo.pad = 0;
+    Tensor images(Shape({geo.batch, 3, 67, 67}));
+    const int64_t image_floats = 3 * 67 * 67;
+    for (int64_t i = 0; i < geo.batch; ++i) {
+      int label = 0;
+      data->Get(i, images.data() + i * image_floats, &label);
+    }
+    auto* out =
+        new Tensor(Shape({geo.unfolded_rows(), geo.unfolded_cols()}));
+    Im2Col(geo, images.data(), out->data());
+    return out;
+  }();
+  return {cols->data(), cols->shape()[1], cols->shape()[0]};
+}
+
+void BM_ClusterOnly(benchmark::State& state, ClusterRows (*source)()) {
   SetupThreads(state);
-  Workload& wl = SharedWorkload();
+  const ClusterRows rows = source();
   const int64_t l = state.range(1);
   const int h = static_cast<int>(state.range(2));
-  auto families = BlockLshFamilies::Create(Workload::kK, l, h, 5);
+  auto families = BlockLshFamilies::Create(rows.k, l, h, 5);
   if (!families.ok()) {
     state.SkipWithError(families.status().ToString().c_str());
     return;
@@ -133,27 +185,27 @@ void BM_ClusterOnly(benchmark::State& state) {
   // The clustering phase of ClusteredForward over a matrix source: L2-sized
   // row tiles through the production clusterer, buffers recycled.
   StreamingSubVectorClusterer clusterer;
-  const int64_t tile_rows = L2TileRows(Workload::kK);
-  clusterer.Begin(&*families, Workload::kN, Workload::kN);
-  std::vector<float> scratch(
-      static_cast<size_t>(clusterer.ScratchFloats(tile_rows)));
+  const int64_t tile_rows = L2TileRows(rows.k);
   for (auto _ : state) {
-    clusterer.Begin(&*families, Workload::kN, Workload::kN);
-    for (int64_t row = 0; row < Workload::kN; row += tile_rows) {
-      clusterer.ConsumeTile(wl.x.data() + row * Workload::kK, row,
-                            std::min(tile_rows, Workload::kN - row),
-                            scratch.data());
+    clusterer.Begin(&*families, rows.n, rows.n);
+    for (int64_t row = 0; row < rows.n; row += tile_rows) {
+      clusterer.ConsumeTile(rows.x + row * rows.k, row,
+                            std::min(tile_rows, rows.n - row));
     }
     ReuseClustering clustering = clusterer.Finish();
     benchmark::DoNotOptimize(clustering.blocks.data());
     clusterer.Recycle(std::move(clustering));
   }
-  state.SetItemsProcessed(state.iterations() * Workload::kN * Workload::kK *
-                          h);
+  state.SetItemsProcessed(state.iterations() * rows.n * rows.k * h);
 }
-BENCHMARK(BM_ClusterOnly)->Apply([](benchmark::internal::Benchmark* b) {
-  ThreadsLHArgs(b, {{400, 8}, {25, 12}});
-});
+BENCHMARK_CAPTURE(BM_ClusterOnly, flat, &FlatRows)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      ThreadsLHArgs(b, {{400, 8}, {25, 12}});
+    });
+BENCHMARK_CAPTURE(BM_ClusterOnly, alexnet_conv1, &AlexNetConv1Rows)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      ThreadsLHArgs(b, {{10, 20}});
+    });
 
 void BM_ClusterReuseCacheWarm(benchmark::State& state) {
   SetupThreads(state);

@@ -1,14 +1,21 @@
 #include "clustering/lsh.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "tensor/gemm.h"
+#include "tensor/simd.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
 namespace adr {
+
+// project_signs writes two plain words per row; HashRowsInto copies them
+// into the signatures bytewise.
+static_assert(sizeof(LshSignature) == 2 * sizeof(uint64_t) &&
+              std::is_trivially_copyable_v<LshSignature>);
 
 Status LshFamily::Create(int64_t dim, int num_hashes, uint64_t seed,
                          LshFamily* out) {
@@ -23,15 +30,18 @@ Status LshFamily::Create(int64_t dim, int num_hashes, uint64_t seed,
   }
   out->dim_ = dim;
   out->num_hashes_ = num_hashes;
+  out->plane_stride_ = (num_hashes + simd::kProjectionPad - 1) /
+                       simd::kProjectionPad * simd::kProjectionPad;
   // Sample hyperplane-major (fixed RNG order, so signatures are stable
-  // across releases), then transpose into the GEMM-friendly layout.
+  // across releases), then transpose into the padded kernel layout.
   std::vector<float> planes(static_cast<size_t>(num_hashes) * dim);
   Rng rng(seed);
   for (auto& v : planes) v = rng.NextGaussian();
-  out->hyperplanes_t_.resize(planes.size());
+  out->hyperplanes_t_.assign(static_cast<size_t>(dim * out->plane_stride_),
+                             0.0f);
   for (int h = 0; h < num_hashes; ++h) {
     for (int64_t j = 0; j < dim; ++j) {
-      out->hyperplanes_t_[static_cast<size_t>(j) * num_hashes + h] =
+      out->hyperplanes_t_[static_cast<size_t>(j * out->plane_stride_ + h)] =
           planes[static_cast<size_t>(h) * dim + j];
     }
   }
@@ -39,16 +49,8 @@ Status LshFamily::Create(int64_t dim, int num_hashes, uint64_t seed,
 }
 
 LshSignature LshFamily::Hash(const float* row) const {
-  // Single-row instance of the HashRows projection GEMM. Going through the
-  // identical kernel (not a per-plane dot product) keeps the projections —
-  // and therefore the sign bits — bit-identical between the per-row and
-  // batched paths under every SIMD backend.
-  float projections[kMaxLshHashes];
-  Gemm(row, hyperplanes_t_.data(), projections, 1, dim_, num_hashes_);
   LshSignature sig;
-  for (int h = 0; h < num_hashes_; ++h) {
-    if (projections[h] > 0.0f) sig.SetBit(h);
-  }
+  HashRowsInto(row, 1, dim_, &sig);
   return sig;
 }
 
@@ -56,47 +58,29 @@ void LshFamily::HashRows(const float* data, int64_t num_rows,
                          int64_t row_stride,
                          std::vector<LshSignature>* out) const {
   out->resize(static_cast<size_t>(num_rows));
-  std::vector<float> scratch(
-      static_cast<size_t>(ScratchFloats(num_rows, row_stride)));
-  HashRowsScratch(data, num_rows, row_stride, scratch.data(), out->data());
+  LshSignature* sigs = out->data();
+  // Each row owns its signature slot, so row chunks are race-free and
+  // the result is independent of the thread count.
+  ParallelFor(num_rows, GrainForCost(dim_ * plane_stride_),
+              [&](int64_t begin, int64_t end) {
+                HashRowsInto(data + begin * row_stride, end - begin,
+                             row_stride, sigs + begin);
+              });
 }
 
-void LshFamily::HashRowsScratch(const float* data, int64_t num_rows,
-                                int64_t row_stride, float* scratch,
-                                LshSignature* out) const {
-  // Batched formulation: the projections are one GEMM
-  // P = X * V (X is num_rows x dim, V dimension-major dim x H), followed
-  // by sign-packing — far faster than per-row dot products, especially
-  // for the short sub-vectors (small dim) adaptive deep reuse favours.
-  float* projections = scratch;
-  const float* gemm_in = data;
-  if (row_stride != dim_) {
-    // Compact the strided rows first so the GEMM streams contiguously;
-    // the copy is O(N*L), negligible next to the O(N*L*H) projections.
-    float* compact = scratch + num_rows * num_hashes_;
-    ParallelFor(num_rows, GrainForCost(dim_),
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    std::copy_n(data + i * row_stride, dim_,
-                                compact + i * dim_);
-                  }
-                });
-    gemm_in = compact;
+void LshFamily::HashRowsInto(const float* data, int64_t num_rows,
+                             int64_t row_stride, LshSignature* out) const {
+  const simd::Kernels& kernels = simd::Active();
+  constexpr int64_t kBatchRows = 64;
+  uint64_t words[2 * kBatchRows];
+  for (int64_t i = 0; i < num_rows; i += kBatchRows) {
+    const int64_t rows = std::min(kBatchRows, num_rows - i);
+    kernels.project_signs(data + i * row_stride, row_stride,
+                          hyperplanes_t_.data(), plane_stride_, rows, dim_,
+                          num_hashes_, words);
+    std::memcpy(out + i, words,
+                sizeof(LshSignature) * static_cast<size_t>(rows));
   }
-  Gemm(gemm_in, hyperplanes_t_.data(), projections, num_rows, dim_,
-       num_hashes_);
-  // Sign-packing per row chunk: each row owns its signature slot.
-  ParallelFor(num_rows, GrainForCost(num_hashes_),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  const float* row = projections + i * num_hashes_;
-                  LshSignature sig;
-                  for (int h = 0; h < num_hashes_; ++h) {
-                    if (row[h] > 0.0f) sig.SetBit(h);
-                  }
-                  out[i] = sig;
-                }
-              });
 }
 
 Clustering ClusterBySignature(const std::vector<LshSignature>& row_signatures,

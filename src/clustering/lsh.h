@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "clustering/clustering.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -21,7 +22,7 @@
 namespace adr {
 
 /// \brief Maximum number of hash functions supported (two 64-bit words).
-inline constexpr int kMaxLshHashes = 128;
+inline constexpr int kMaxLshHashes = simd::kMaxSignBits;
 
 /// \brief An H-bit LSH signature; hashable, usable as a cross-batch
 /// cluster ID.
@@ -73,40 +74,38 @@ class LshFamily {
   ///
   /// The row is interpreted under the angular metric: only the signs of the
   /// projections matter, so no explicit normalization is needed here.
-  /// Computed through the same GEMM microkernel as HashRows, so per-row and
-  /// batched signatures are bit-identical for any fixed SIMD backend.
+  /// Computed by the same project-and-sign kernel as HashRows, so per-row
+  /// and batched signatures are bit-identical for any fixed SIMD backend.
   LshSignature Hash(const float* row) const;
 
-  /// \brief Signatures for `num_rows` rows with the given stride.
+  /// \brief Signatures for `num_rows` rows with the given stride, split
+  /// over the thread pool in row chunks.
   void HashRows(const float* data, int64_t num_rows, int64_t row_stride,
                 std::vector<LshSignature>* out) const;
 
-  /// \brief HashRows into caller-owned buffers — the allocation-free form
-  /// the clustered forward feeds from a workspace arena. `scratch` must
-  /// hold ScratchFloats(num_rows, row_stride) floats; `out` receives
-  /// `num_rows` signatures. Same projection GEMM and sign-packing as
-  /// HashRows, so the signatures are bit-identical.
-  void HashRowsScratch(const float* data, int64_t num_rows,
-                       int64_t row_stride, float* scratch,
-                       LshSignature* out) const;
+  /// \brief Signatures of `num_rows` rows at `row_stride` into `out`, on
+  /// the calling thread, through simd::Kernels::project_signs: the rows
+  /// are read in place and the projections never reach memory. Each bit
+  /// equals `Gemm(rows, hyperplanes) > 0` on the active backend.
+  void HashRowsInto(const float* data, int64_t num_rows, int64_t row_stride,
+                    LshSignature* out) const;
 
-  /// \brief Scratch floats HashRowsScratch needs: projections, plus a
-  /// compacted copy of the rows when they are strided.
-  int64_t ScratchFloats(int64_t num_rows, int64_t row_stride) const {
-    return num_rows * num_hashes_ +
-           (row_stride == dim_ ? 0 : num_rows * dim_);
-  }
-
-  /// \brief Dimension-major hyperplanes, hyperplanes_t()[j * num_hashes() +
-  /// h]: the projection operand of the HashRows GEMM. Exposed so the
-  /// golden-kernel harness can recompute projections at higher precision.
+  /// \brief Dimension-major hyperplanes, hyperplanes_t()[j * plane_stride()
+  /// + h] for h < num_hashes(); lanes h >= num_hashes() are zero padding.
+  /// Exposed so tests can recompute the projections independently.
   const std::vector<float>& hyperplanes_t() const { return hyperplanes_t_; }
+
+  /// \brief Row stride of hyperplanes_t(): num_hashes() rounded up to
+  /// whole vector registers (simd::kProjectionPad).
+  int64_t plane_stride() const { return plane_stride_; }
 
  private:
   int64_t dim_ = 0;
   int num_hashes_ = 0;
-  // Hyperplanes stored dimension-major: hyperplanes_t_[j * num_hashes_ + h]
-  // (the batched HashRows GEMM streams over h in the inner loop).
+  int64_t plane_stride_ = 0;
+  // Hyperplanes stored dimension-major and zero-padded:
+  // hyperplanes_t_[j * plane_stride_ + h] (the project-and-sign kernel
+  // loads whole registers of h per dimension j).
   std::vector<float> hyperplanes_t_;
 };
 

@@ -181,13 +181,12 @@ void ClusteredForward(const BlockLshFamilies& families,
 
   // 1. Stream L2-sized row tiles through hash + cluster. An unfolded tile
   // is generated in parallel over row sub-ranges; a matrix tile is read
-  // in place. The hash GEMM inside ConsumeTile parallelizes itself.
+  // in place. ConsumeTile hashes a tile's rows in parallel row chunks.
   {
     ADR_TRACE_SPAN("lsh_cluster");
     clusterer->Begin(&families, n, rows_per_group);
     const int64_t tile_rows = L2TileRows(k);
     float* tile = rows.unfold ? scratch.Floats(tile_rows * k) : nullptr;
-    float* hash_scratch = scratch.Floats(clusterer->ScratchFloats(tile_rows));
     for (int64_t row = 0; row < n; row += tile_rows) {
       const int64_t count = std::min(tile_rows, n - row);
       if (rows.unfold) {
@@ -197,7 +196,7 @@ void ClusteredForward(const BlockLshFamilies& families,
         });
       }
       clusterer->ConsumeTile(rows.unfold ? tile : rows.data + row * k, row,
-                             count, hash_scratch);
+                             count);
     }
     *clustering = clusterer->Finish();
   }

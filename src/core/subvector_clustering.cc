@@ -6,6 +6,7 @@
 
 #include "tensor/simd.h"
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace adr {
 
@@ -77,44 +78,53 @@ void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
   }
 }
 
-int64_t StreamingSubVectorClusterer::ScratchFloats(int64_t tile_rows) const {
-  ADR_CHECK(families_ != nullptr);
-  int64_t max_scratch = 0;
-  for (int64_t b = 0; b < families_->num_blocks(); ++b) {
-    max_scratch = std::max(
-        max_scratch,
-        families_->family(b).ScratchFloats(tile_rows, families_->k()));
-  }
-  return max_scratch;
-}
-
 void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
                                               int64_t row_begin,
-                                              int64_t tile_rows,
-                                              float* scratch) {
+                                              int64_t tile_rows) {
   ADR_CHECK_EQ(row_begin, next_row_) << "tiles must arrive in row order";
   ADR_CHECK_GT(tile_rows, 0);
   ADR_CHECK_LE(row_begin + tile_rows, num_rows_);
   const int64_t k = families_->k();
+  const int64_t num_blocks = families_->num_blocks();
   const simd::Kernels& kernels = simd::Active();
   const LshSignatureHash sig_hasher;
 
-  for (int64_t b = 0; b < families_->num_blocks(); ++b) {
+  // Signatures of every block, one pass over row chunks: a chunk's rows
+  // stay in cache while all blocks hash them, and each row owns its
+  // signature slots, so the result is independent of the thread count.
+  for (BlockState& bs : blocks_) {
+    bs.tile_sigs.resize(static_cast<size_t>(tile_rows));
+  }
+  ParallelFor(tile_rows,
+              GrainForCost(k * families_->family(0).plane_stride()),
+              [&](int64_t begin, int64_t end) {
+                for (int64_t b = 0; b < num_blocks; ++b) {
+                  families_->family(b).HashRowsInto(
+                      tile + begin * k + families_->block_offset(b),
+                      end - begin, k,
+                      blocks_[static_cast<size_t>(b)].tile_sigs.data() +
+                          begin);
+                }
+              });
+
+  // First group boundary at or after row_begin.
+  const int64_t first_reset =
+      (row_begin + rows_per_group_ - 1) / rows_per_group_ * rows_per_group_;
+  for (int64_t b = 0; b < num_blocks; ++b) {
     BlockState& bs = blocks_[static_cast<size_t>(b)];
     const int64_t offset = families_->block_offset(b);
     const int64_t length = families_->block_length(b);
-    bs.tile_sigs.resize(static_cast<size_t>(tile_rows));
-    families_->family(b).HashRowsScratch(tile + offset, tile_rows, k, scratch,
-                                         bs.tile_sigs.data());
 
     // Serial per-row pass in ascending global row order: ids follow
     // ClusterBySignature's first-seen order (with the per-group reset) and
     // the centroid sums accumulate in ComputeCentroids' row order, so the
     // result is independent of the tiling.
+    int64_t next_reset = first_reset;
     for (int64_t i = 0; i < tile_rows; ++i) {
       const int64_t row = row_begin + i;
-      if (row % rows_per_group_ == 0) {
+      if (row == next_reset) {
         std::fill(bs.slot_id.begin(), bs.slot_id.end(), -1);
+        next_reset += rows_per_group_;
       }
       const LshSignature& sig = bs.tile_sigs[static_cast<size_t>(i)];
       size_t slot = sig_hasher(sig) & table_mask_;
@@ -128,9 +138,15 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
         bs.slot_sig[slot] = sig;
         bs.sizes.push_back(0);
         bs.sigs.push_back(sig);
-        bs.centroids.resize(bs.centroids.size() +
-                                static_cast<size_t>(length),
-                            0.0f);
+        const size_t needed = static_cast<size_t>((id + 1) * length);
+        if (needed > bs.centroids.size()) {
+          // Zero-filled sums for this and the next clusters, in doubling
+          // steps (at least 64 clusters), not one resize per cluster.
+          bs.centroids.resize(
+              std::max(needed, std::max(2 * bs.centroids.size(),
+                                        static_cast<size_t>(64 * length))),
+              0.0f);
+        }
       }
       bs.assignment[static_cast<size_t>(row)] = id;
       ++bs.sizes[static_cast<size_t>(id)];
@@ -154,6 +170,7 @@ ReuseClustering StreamingSubVectorClusterer::Finish() {
     out.col_offset = families_->block_offset(static_cast<int64_t>(b));
     out.length = families_->block_length(static_cast<int64_t>(b));
     const int64_t num_clusters = static_cast<int64_t>(bs.sizes.size());
+    bs.centroids.resize(static_cast<size_t>(num_clusters * out.length));
     float* c = bs.centroids.data();
     for (int64_t cl = 0; cl < num_clusters; ++cl) {
       const int64_t size = bs.sizes[static_cast<size_t>(cl)];

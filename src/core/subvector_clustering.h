@@ -79,8 +79,9 @@ class BlockLshFamilies {
 /// \brief The LSH clusterer of every forward pass, fed consecutive row
 /// tiles of the unfolded matrix x (N x K).
 ///
-/// Each block's rows are hashed with one batched projection GEMM per tile
-/// and grouped in first-seen order. `rows_per_group` sets the clustering
+/// Each tile's rows are hashed for all blocks in one pass over row chunks
+/// (LshFamily::HashRowsInto per block and chunk) and then grouped per
+/// block in first-seen order. `rows_per_group` sets the clustering
 /// scope: rows cluster in consecutive groups of that size and never share
 /// a cluster across groups (num_rows for single-batch scope, N_img for
 /// single-input scope). Tiles need not align with group boundaries.
@@ -104,15 +105,10 @@ class StreamingSubVectorClusterer {
   void Begin(const BlockLshFamilies* families, int64_t num_rows,
              int64_t rows_per_group);
 
-  /// \brief Scratch floats ConsumeTile needs for a tile of `tile_rows`
-  /// rows (max over blocks). Valid after Begin.
-  int64_t ScratchFloats(int64_t tile_rows) const;
-
   /// \brief Consumes rows [row_begin, row_begin + tile_rows); tiles must
   /// arrive in order and cover [0, num_rows) exactly. `tile` is
-  /// tile_rows x k row-major; `scratch` holds ScratchFloats(tile_rows).
-  void ConsumeTile(const float* tile, int64_t row_begin, int64_t tile_rows,
-                   float* scratch);
+  /// tile_rows x k row-major.
+  void ConsumeTile(const float* tile, int64_t row_begin, int64_t tile_rows);
 
   /// \brief Finalizes centroids and returns the clustering; the clusterer
   /// keeps its table capacity for the next Begin.
@@ -129,7 +125,9 @@ class StreamingSubVectorClusterer {
     std::vector<int32_t> slot_id;
     std::vector<LshSignature> slot_sig;
     // Growing per-cluster state, moved into the result at Finish.
-    std::vector<float> centroids;  // |C| x length running sums
+    // centroids holds |C| x length running sums, zero-filled in doubling
+    // steps ahead of |C| and trimmed to |C| x length at Finish.
+    std::vector<float> centroids;
     std::vector<int64_t> sizes;
     std::vector<LshSignature> sigs;
     std::vector<int32_t> assignment;

@@ -13,9 +13,10 @@ namespace {
 
 // Cache blocking: a kBlockM x kBlockK panel of A (48 KiB) and a
 // kBlockK x kBlockN panel of B (128 KiB) stay in L2 while the microkernel
-// sweeps them. kBlockK also fixes the accumulation order (see gemm.h).
+// sweeps them. kBlockK also fixes the accumulation order (see gemm.h),
+// which the LSH project-and-sign kernel reproduces.
 constexpr int64_t kBlockM = 96;
-constexpr int64_t kBlockK = 128;
+constexpr int64_t kBlockK = simd::kGemmDepthBlock;
 constexpr int64_t kBlockN = 256;
 
 // k-split policy for GemmTransA: split only when C has fewer than

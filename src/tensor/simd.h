@@ -1,7 +1,7 @@
 // Portable SIMD kernel layer for the reuse hot paths.
 //
 // Every dense inner loop the library spends its time in (the GEMM
-// microkernel, row normalization, the
+// microkernel, the LSH project-and-sign kernel, row normalization, the
 // cluster gather/scatter adds and the backward sum/average reductions)
 // funnels through the small table of primitives below. The table has one
 // implementation per instruction set:
@@ -36,6 +36,17 @@
 
 namespace adr::simd {
 
+/// \brief Depth of the k blocks a GEMM sums from zero in registers before
+/// adding the block sum to its running result (see tensor/gemm.h).
+inline constexpr int64_t kGemmDepthBlock = 128;
+
+/// \brief project_signs reads hyperplanes whose rows are padded to a
+/// multiple of this many floats: whole registers on every backend.
+inline constexpr int64_t kProjectionPad = 8;
+
+/// \brief Most sign bits project_signs packs per row (two 64-bit words).
+inline constexpr int kMaxSignBits = 128;
+
 enum class Isa { kScalar, kAvx2, kNeon };
 
 /// \brief One backend's implementations of the hot-path primitives.
@@ -65,6 +76,20 @@ struct Kernels {
   void (*gemm_block)(const float* a, int64_t rs_a, int64_t cs_a,
                      const float* b, int64_t ldb, float* c, int64_t ldc,
                      int64_t m, int64_t k, int64_t n, bool accumulate);
+  /// Packed LSH signs of m rows: bit h of row i is set iff the projection
+  /// sum_kk a[i * lda + kk] * planes[kk * ldp + h] is > 0, for h < n.
+  /// planes is k x ldp (dimension-major hyperplanes), ldp a multiple of
+  /// kProjectionPad and >= n; 1 <= n <= kMaxSignBits. Row i's signs go to
+  /// signs[2 * i] (bits 0-63) and signs[2 * i + 1] (bits 64-127); unused
+  /// bits are 0. Each projection is summed exactly as Gemm sums element
+  /// (i, h) of A * planes (128-deep k blocks from zero in ascending k,
+  /// block sums added in order to 0), so the bits equal Gemm-then-compare
+  /// on the same backend. Padding lanes h >= n are computed and ignored;
+  /// a NaN projection gives 0. Runs on the calling thread; callers split
+  /// rows across threads.
+  void (*project_signs)(const float* a, int64_t lda, const float* planes,
+                        int64_t ldp, int64_t m, int64_t k, int n,
+                        uint64_t* signs);
 };
 
 /// \brief The scalar backend. Always available.

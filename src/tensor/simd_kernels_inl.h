@@ -8,7 +8,8 @@
 //   using Reg            — the vector register type (float for scalar);
 //   static constexpr int kWidth — float lanes per register;
 //   Zero(), Load(p), Store(p, v), Broadcast(s), Add(a, b), Mul(a, b),
-//   Fma(a, b, acc) = a * b + acc, ReduceAdd(v).
+//   Fma(a, b, acc) = a * b + acc, ReduceAdd(v), and PositiveMask(v): bit j
+//   set iff lane j is > 0 (false for NaN).
 //
 // Remainder lanes (n not a multiple of kWidth) run in scalar tail loops;
 // the golden harness sweeps such shapes explicitly.
@@ -16,6 +17,7 @@
 #ifndef ADR_TENSOR_SIMD_KERNELS_INL_H_
 #define ADR_TENSOR_SIMD_KERNELS_INL_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "tensor/simd.h"
@@ -40,6 +42,7 @@ struct ScalarOps {
   static Reg Mul(Reg a, Reg b) { return a * b; }
   static Reg Fma(Reg a, Reg b, Reg acc) { return a * b + acc; }
   static float ReduceAdd(Reg v) { return v; }
+  static uint32_t PositiveMask(Reg v) { return v > 0.0f ? 1u : 0u; }
 };
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -62,6 +65,10 @@ struct Avx2Ops {
     sum = _mm_add_ss(sum, _mm_shuffle_ps(sum, sum, 0x1));
     return _mm_cvtss_f32(sum);
   }
+  static uint32_t PositiveMask(Reg v) {
+    return static_cast<uint32_t>(_mm256_movemask_ps(
+        _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ)));
+  }
 };
 #endif  // __AVX2__ && __FMA__
 
@@ -77,6 +84,11 @@ struct NeonOps {
   static Reg Mul(Reg a, Reg b) { return vmulq_f32(a, b); }
   static Reg Fma(Reg a, Reg b, Reg acc) { return vfmaq_f32(acc, a, b); }
   static float ReduceAdd(Reg v) { return vaddvq_f32(v); }
+  static uint32_t PositiveMask(Reg v) {
+    static const uint32_t kLaneBits[4] = {1, 2, 4, 8};
+    return vaddvq_u32(
+        vandq_u32(vcgtq_f32(v, vdupq_n_f32(0.0f)), vld1q_u32(kLaneBits)));
+  }
 };
 #endif  // __ARM_NEON
 
@@ -248,6 +260,149 @@ void GemmBlockImpl(const float* a, int64_t rs_a, int64_t cs_a, const float* b,
   }
 }
 
+// Rows per project-and-sign tile for V registers of hash columns: R * V
+// accumulators, V plane registers and one broadcast fit in AVX2's 16.
+template <int V>
+constexpr int kSignTileRows = V == 1 ? 8 : (V == 2 ? 6 : 4);
+
+// acc[r][v] = sum over kk in [k0, k1) of rows[r][kk] * planes[kk][v],
+// from zero, one FMA per kk in ascending order: GemmTile's arithmetic.
+template <typename Ops, int R, int V>
+inline void ProjectRows(const float* const (&rows)[R], const float* planes,
+                        int64_t ldp, int64_t k0, int64_t k1,
+                        typename Ops::Reg (&acc)[R][V]) {
+  using Reg = typename Ops::Reg;
+  constexpr int64_t kW = Ops::kWidth;
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 3
+    for (int v = 0; v < V; ++v) acc[r][v] = Ops::Zero();
+  }
+  for (int64_t kk = k0; kk < k1; ++kk) {
+    const float* p_k = planes + kk * ldp;
+    Reg pv[V];
+#pragma GCC unroll 3
+    for (int v = 0; v < V; ++v) pv[v] = Ops::Load(p_k + v * kW);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const Reg av = Ops::Broadcast(rows[r][kk]);
+#pragma GCC unroll 3
+      for (int v = 0; v < V; ++v) acc[r][v] = Ops::Fma(av, pv[v], acc[r][v]);
+    }
+  }
+}
+
+// The projections of k > kGemmDepthBlock, summed as Gemm sums them: each
+// 128-deep block from zero in registers, block sums added in order to 0.
+// Out of line so the common single-block tile keeps its accumulators in
+// registers.
+template <typename Ops, int R, int V>
+[[gnu::noinline]] void ProjectDeepRows(const float* const (&rows)[R],
+                                       const float* planes, int64_t ldp,
+                                       int64_t k,
+                                       float (&sums)[R][V * Ops::kWidth]) {
+  using Reg = typename Ops::Reg;
+  constexpr int kW = Ops::kWidth;
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) Ops::Store(&sums[r][v * kW], Ops::Zero());
+  }
+  for (int64_t k0 = 0; k0 < k; k0 += kGemmDepthBlock) {
+    Reg part[R][V];
+    ProjectRows<Ops, R, V>(rows, planes, ldp, k0,
+                           std::min(k, k0 + kGemmDepthBlock), part);
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < V; ++v) {
+        float* sum = &sums[r][v * kW];
+        Ops::Store(sum, Ops::Add(Ops::Load(sum), part[r][v]));
+      }
+    }
+  }
+}
+
+// Signs of hash columns [col, col + V * kWidth) for up to R rows starting
+// at a; `rows` < R repeats the last row and stores only the first `rows`.
+// `keep` clears the bits of padding lanes (col + lane >= n). Projections
+// never leave registers on the single-block path: compare, movemask, OR.
+template <typename Ops, int R, int V>
+void ProjectSignTile(const float* a, int64_t lda, int64_t rows,
+                     const float* planes, int64_t ldp, int64_t k, int col,
+                     uint64_t keep, uint64_t* signs) {
+  using Reg = typename Ops::Reg;
+  constexpr int kW = Ops::kWidth;
+  const float* row[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    row[r] = a + std::min<int64_t>(r, rows - 1) * lda;
+  }
+  planes += col;
+  // Gemm stores 0 + sum for the first block; 0 + s > 0 exactly when
+  // s > 0 (they differ only for s = -0), so the sign needs no add.
+  Reg acc[R][V];
+  if (k <= kGemmDepthBlock) {
+    ProjectRows<Ops, R, V>(row, planes, ldp, 0, k, acc);
+  } else {
+    float sums[R][V * kW];
+    ProjectDeepRows<Ops, R, V>(row, planes, ldp, k, sums);
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < V; ++v) acc[r][v] = Ops::Load(&sums[r][v * kW]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    if (r == rows) break;
+    uint64_t bits = 0;
+#pragma GCC unroll 3
+    for (int v = 0; v < V; ++v) {
+      bits |= uint64_t{Ops::PositiveMask(acc[r][v])} << (v * kW);
+    }
+    // Columns stay below kMaxSignBits, so the shift never drops a kept bit.
+    const unsigned __int128 placed =
+        static_cast<unsigned __int128>(bits & keep) << col;
+    signs[2 * r] |= static_cast<uint64_t>(placed);
+    signs[2 * r + 1] |= static_cast<uint64_t>(placed >> 64);
+  }
+}
+
+template <typename Ops, int V>
+void ProjectSignColumns(const float* a, int64_t lda, const float* planes,
+                        int64_t ldp, int64_t m, int64_t k, int col, int n,
+                        uint64_t* signs) {
+  constexpr int R = kSignTileRows<V>;
+  constexpr int kBits = V * Ops::kWidth;
+  const uint64_t keep =
+      n - col >= kBits ? ~uint64_t{0} : (uint64_t{1} << (n - col)) - 1;
+  for (int64_t i = 0; i < m; i += R) {
+    // Rows at a long stride defeat the hardware prefetcher: fetch the
+    // first and last line of each row four tiles ahead.
+    for (int64_t r = i + 4 * R; r < std::min(m, i + 5 * R); ++r) {
+      __builtin_prefetch(a + r * lda);
+      __builtin_prefetch(a + r * lda + k - 1);
+    }
+    ProjectSignTile<Ops, R, V>(a + i * lda, lda, std::min<int64_t>(R, m - i),
+                               planes, ldp, k, col, keep, signs + 2 * i);
+  }
+}
+
+// Hash columns in chunks of three registers, then the 2- or 1-register
+// rest; each chunk ORs its bits into the zeroed signatures.
+template <typename Ops>
+void ProjectSignsImpl(const float* a, int64_t lda, const float* planes,
+                      int64_t ldp, int64_t m, int64_t k, int n,
+                      uint64_t* signs) {
+  constexpr int kW = Ops::kWidth;
+  std::fill_n(signs, 2 * m, uint64_t{0});
+  const int regs = (n + kW - 1) / kW;
+  int reg = 0;
+  for (; reg + 3 <= regs; reg += 3) {
+    ProjectSignColumns<Ops, 3>(a, lda, planes, ldp, m, k, reg * kW, n, signs);
+  }
+  if (regs - reg == 2) {
+    ProjectSignColumns<Ops, 2>(a, lda, planes, ldp, m, k, reg * kW, n, signs);
+  } else if (regs - reg == 1) {
+    ProjectSignColumns<Ops, 1>(a, lda, planes, ldp, m, k, reg * kW, n, signs);
+  }
+}
+
 template <typename Ops>
 Kernels MakeKernels(Isa isa, const char* name) {
   Kernels kernels;
@@ -259,6 +414,7 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;
   kernels.gemm_block = &GemmBlockImpl<Ops>;
+  kernels.project_signs = &ProjectSignsImpl<Ops>;
   return kernels;
 }
 

@@ -1,8 +1,11 @@
 // Bitwise references for the LSH forward of core/clustered_matmul.h.
 // Tests and benches only; nothing under src/ includes this file.
 //
+//   - ReferenceHashRows: LSH hashing written out over Gemm: compact the
+//     rows, one projection GEMM, then one sign bit at a time. The
+//     project-and-sign kernel behind LshFamily must match it bit for bit.
 //   - ClusterSubVectors: the materialized clusterer. It hashes each whole
-//     scope group with one projection GEMM, groups with ClusterBySignature
+//     scope group with ReferenceHashRows, groups with ClusterBySignature
 //     and averages with ComputeCentroids. StreamingSubVectorClusterer must
 //     reproduce it bit for bit, whatever the tiling.
 //   - ReferenceClusterCache: the original map-based cluster-reuse cache.
@@ -228,6 +231,39 @@ class ReferenceClusterCache {
   int64_t clock_block_ = 0;
 };
 
+/// \brief Signatures of `num_rows` rows of `family.dim()` floats at
+/// `row_stride`: Gemm against the unpadded dimension-major hyperplanes,
+/// then bit h set iff projection h is > 0.
+inline void ReferenceHashRows(const LshFamily& family, const float* data,
+                              int64_t num_rows, int64_t row_stride,
+                              std::vector<LshSignature>* out) {
+  const int64_t dim = family.dim();
+  const int h = family.num_hashes();
+  std::vector<float> planes(static_cast<size_t>(dim * h));
+  for (int64_t j = 0; j < dim; ++j) {
+    for (int p = 0; p < h; ++p) {
+      planes[static_cast<size_t>(j * h + p)] =
+          family.hyperplanes_t()[static_cast<size_t>(
+              j * family.plane_stride() + p)];
+    }
+  }
+  std::vector<float> compact(static_cast<size_t>(num_rows * dim));
+  for (int64_t i = 0; i < num_rows; ++i) {
+    std::memcpy(compact.data() + i * dim, data + i * row_stride,
+                sizeof(float) * static_cast<size_t>(dim));
+  }
+  std::vector<float> projections(static_cast<size_t>(num_rows * h));
+  Gemm(compact.data(), planes.data(), projections.data(), num_rows, dim, h);
+  out->assign(static_cast<size_t>(num_rows), LshSignature{});
+  for (int64_t i = 0; i < num_rows; ++i) {
+    for (int p = 0; p < h; ++p) {
+      if (projections[static_cast<size_t>(i * h + p)] > 0.0f) {
+        (*out)[static_cast<size_t>(i)].SetBit(p);
+      }
+    }
+  }
+}
+
 /// \brief Clusters the rows of `x` (num_rows x k, row-major) per block, in
 /// consecutive scope groups of `rows_per_group` rows.
 inline ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
@@ -247,8 +283,8 @@ inline ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
     Clustering& merged = block.clustering;
     for (int64_t start = 0; start < num_rows; start += rows_per_group) {
       std::vector<LshSignature> sigs;
-      families.family(b).HashRows(x + start * k + block.col_offset,
-                                  rows_per_group, k, &sigs);
+      ReferenceHashRows(families.family(b), x + start * k + block.col_offset,
+                        rows_per_group, k, &sigs);
       std::vector<LshSignature> group_sigs;
       const Clustering group = ClusterBySignature(sigs, &group_sigs);
       const int32_t id_offset =

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,8 +23,10 @@
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
+#include "tests/clustered_forward_reference.h"
 #include "tests/gradient_check.h"
 #include "tests/kernel_harness.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -305,8 +308,9 @@ TEST(GoldenKernels, LshHashSignsMatchDoubleProjection) {
       for (int h = 0; h < num_hashes; ++h) {
         double projection = 0.0;
         for (int64_t j = 0; j < dim; ++j) {
-          projection += static_cast<double>(row[static_cast<size_t>(j)]) *
-                        planes_t[static_cast<size_t>(j) * num_hashes + h];
+          projection +=
+              static_cast<double>(row[static_cast<size_t>(j)]) *
+              planes_t[static_cast<size_t>(j * family.plane_stride() + h)];
         }
         // Skip sign checks inside the rounding ambiguity band.
         if (std::abs(projection) < 1e-4) continue;
@@ -332,6 +336,145 @@ TEST(GoldenKernels, LshBatchedHashMatchesPerRowOnEveryBackend) {
                 family.Hash(data.data() + i * dim))
           << backend->name << " row " << i;
     }
+  }
+}
+
+// Rows for the project-and-sign sweep: Gaussian rows, rows with signed
+// zeros among them, an all +0 and an all -0 row (every bit 0), and rows
+// holding a NaN (NaN projections give bit 0). The gap between strided
+// rows is NaN, so a read past a row's end would change its bits.
+std::vector<float> HashSweepRows(int64_t rows, int64_t stride, int64_t dim,
+                                 uint64_t seed) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> data = RandomVector(rows * stride, seed);
+  for (int64_t i = 0; i < rows; ++i) {
+    float* row = data.data() + i * stride;
+    std::fill(row + dim, row + stride, nan);
+    switch (i % 6) {
+      case 1:
+        for (int64_t j = 0; j < dim; j += 2) row[j] = j % 4 ? -0.0f : 0.0f;
+        break;
+      case 3:
+        std::fill_n(row, dim, 0.0f);
+        break;
+      case 4:
+        std::fill_n(row, dim, -0.0f);
+        break;
+      case 5:
+        row[dim / 2] = nan;
+        break;
+      default:
+        break;
+    }
+  }
+  return data;
+}
+
+// The project-and-sign kernel, straight from each backend's table (with
+// non-zero padding lanes) and through LshFamily::HashRows at 1 and 4
+// threads, against the Gemm-based ReferenceHashRows on the same backend,
+// bit for bit. H crosses every
+// register and word boundary, L every 128-deep k block; row counts are
+// not multiples of any row tile.
+TEST(GoldenKernels, ProjectSignsMatchReferenceHashRowsBitwise) {
+  struct ThreadCountGuard {
+    int saved = ThreadPool::GlobalThreads();
+    ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved); }
+  } thread_guard;
+  const int hashes[] = {1, 7, 8, 12, 16, 20, 24, 63, 64, 65, 96, 128};
+  const int64_t lengths[] = {1, 3, 10, 25, 128, 129, 300};
+  const int64_t row_counts[] = {1, 13, 131};
+  for (const simd::Kernels* backend : Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    for (const int threads : {1, 4}) {
+      ThreadPool::SetGlobalThreads(threads);
+      for (const int h : hashes) {
+        for (const int64_t dim : lengths) {
+          LshFamily family;
+          ASSERT_TRUE(LshFamily::Create(dim, h, 900 + h + dim, &family).ok());
+          // The kernel must ignore padding lanes whatever they hold.
+          std::vector<float> planes = family.hyperplanes_t();
+          for (int64_t j = 0; j < dim; ++j) {
+            for (int64_t p = h; p < family.plane_stride(); ++p) {
+              planes[static_cast<size_t>(j * family.plane_stride() + p)] =
+                  1.0f;
+            }
+          }
+          for (const int64_t stride : {dim, dim + 3}) {
+            for (const int64_t rows : row_counts) {
+              const std::vector<float> data =
+                  HashSweepRows(rows, stride, dim, 5000 + rows + stride);
+              std::vector<LshSignature> expected;
+              ReferenceHashRows(family, data.data(), rows, stride, &expected);
+              std::vector<LshSignature> batched;
+              family.HashRows(data.data(), rows, stride, &batched);
+              std::vector<uint64_t> direct(static_cast<size_t>(2 * rows));
+              backend->project_signs(data.data(), stride, planes.data(),
+                                     family.plane_stride(), rows, dim, h,
+                                     direct.data());
+              for (int64_t i = 0; i < rows; ++i) {
+                const size_t r = static_cast<size_t>(i);
+                ASSERT_EQ(batched[r], expected[r])
+                    << backend->name << " threads=" << threads << " H=" << h
+                    << " L=" << dim << " stride=" << stride
+                    << " rows=" << rows << " row " << i;
+                const LshSignature from_table{{direct[2 * r],
+                                               direct[2 * r + 1]}};
+                ASSERT_EQ(from_table, expected[r])
+                    << backend->name << " H=" << h << " L=" << dim
+                    << " stride=" << stride << " rows=" << rows << " row "
+                    << i;
+                if (i % 6 >= 3) {
+                  EXPECT_EQ(expected[r], LshSignature{})
+                      << "zero and NaN rows give all-zero signatures";
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Pins the 128-deep block order of the projection sum. Over L = 129 Gemm
+// computes (0 + A) + B, with A the FMA chain over the first 128 products
+// and B = x * p the last one rounded alone. The row's last entry x is
+// chosen so that x * p rounds to exactly -A while the exact x * p + A is
+// positive: the blocked sum is 0 (bit clear), one unbroken FMA chain would
+// give a positive projection (bit set).
+TEST(GoldenKernels, ProjectSignsKeepGemmBlockOrder) {
+  constexpr int64_t kDim = 129;
+  LshFamily family;
+  ASSERT_TRUE(LshFamily::Create(kDim, 8, 61, &family).ok());
+  const int64_t stride = family.plane_stride();
+  const std::vector<float>& planes = family.hyperplanes_t();
+  const float p = planes[static_cast<size_t>(128 * stride)];
+  for (const simd::Kernels* backend : Backends()) {
+    simd::ScopedKernelsOverride override_backend(*backend);
+    bool found = false;
+    for (uint64_t seed = 0; seed < 64 && !found; ++seed) {
+      std::vector<float> row = RandomVector(kDim, 7000 + seed);
+      std::vector<float> first_block(static_cast<size_t>(stride));
+      Gemm(row.data(), planes.data(), first_block.data(), 1, 128, stride);
+      const float a = first_block[0];
+      float x = -a / p;
+      for (int step = 0; step < 8; ++step) x = std::nextafter(x, -HUGE_VALF);
+      for (int step = 0; step < 16 && !found; ++step) {
+        x = std::nextafter(x, HUGE_VALF);
+        const float product = x * p;
+        found = product == -a &&
+                static_cast<double>(x) * p + static_cast<double>(a) > 0.0;
+      }
+      if (!found) continue;
+      row[128] = x;
+      std::vector<LshSignature> expected, actual;
+      ReferenceHashRows(family, row.data(), 1, kDim, &expected);
+      ASSERT_EQ(expected[0].words[0] & 1, 0u) << backend->name;
+      family.HashRows(row.data(), 1, kDim, &actual);
+      EXPECT_EQ(actual[0], expected[0]) << backend->name << " seed " << seed;
+    }
+    EXPECT_TRUE(found) << backend->name << ": no row with a tie found";
   }
 }
 
