@@ -60,11 +60,9 @@ void Main() {
       params.rc = forward.stats.avg_remaining_ratio;
 
       const double fwd_measured =
-          (forward.stats.macs_hash + forward.stats.macs_gemm +
-           forward.stats.macs_scatter) /
-          forward.stats.macs_baseline;
+          forward.stats.macs_executed / forward.stats.macs_baseline;
       const double bwd_measured =
-          backward.stats.macs / backward.stats.macs_baseline;
+          backward.stats.macs_executed / backward.stats.macs_baseline;
       const double fwd_model = ForwardRelativeCost(params);
       const double bwd_model = (WeightGradRelativeCost(params) +
                                 InputDeltaRelativeCost(params)) /

@@ -421,7 +421,7 @@ void BM_MaterializedClusteredForward(benchmark::State& state) {
     Im2Col(wl.geo, wl.input.data(), cols);
     float* y = arena.AllocFloats(n * ConvWorkload::kM);
     ReuseClustering clustering;
-    ForwardReuseStats stats;
+    ReuseLayerStats stats;
     ClusteredForward(*families, ForwardRows::Matrix(cols, n), wl.w, nullptr,
                      n, nullptr, &arena, &clusterer, y, &clustering, &stats);
     benchmark::DoNotOptimize(y);
@@ -457,7 +457,7 @@ void BM_FusedClusteredForward(benchmark::State& state) {
     arena.Reset();
     float* y = arena.AllocFloats(n * ConvWorkload::kM);
     ReuseClustering clustering;
-    ForwardReuseStats stats;
+    ReuseLayerStats stats;
     ClusteredForward(*families, ForwardRows::Unfold(wl.geo, wl.input.data()),
                      wl.w, nullptr, n, nullptr, &arena, &clusterer, y,
                      &clustering, &stats);

@@ -76,7 +76,6 @@ int main() {
   const double accuracy =
       EvaluateAccuracy(&model->network, *dataset, 16, 256);
   std::printf("\nfinal accuracy: %.3f\n\n", accuracy);
-  const ReuseReport report = CollectReuseReport(model->reuse_layers);
-  std::printf("%s", FormatReuseReport(report).c_str());
+  std::printf("%s", FormatReuseReport(model->reuse_layers).c_str());
   return 0;
 }

@@ -5,7 +5,6 @@
 //   - core/reuse_config.h     the {L, H, CR, scope} knobs
 //   - core/adaptive_controller.h  Strategy 2's runtime controller
 //   - core/strategies.h       end-to-end training drivers
-//   - core/similarity_study.h the Fig. 7/8 studies as library calls
 //   - models/models.h         CifarNet / AlexNet / VGG-19 builders
 //
 // Applications that only need the substrate can include the individual
@@ -26,7 +25,6 @@
 #include "core/reuse_config.h"
 #include "core/reuse_conv2d.h"
 #include "core/reuse_report.h"
-#include "core/similarity_study.h"
 #include "core/strategies.h"
 #include "core/subvector_clustering.h"
 #include "data/augment.h"

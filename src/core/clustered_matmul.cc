@@ -8,7 +8,6 @@
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
-#include "util/metrics_registry.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -36,12 +35,12 @@ void ScatterClusterOutputs(const float* yc, const Clustering& clustering,
 // run one GEMM over the missed centroids per block (gathered compactly
 // when some clusters hit), scatter the cluster outputs to the member rows,
 // and add the bias. `y` (num_rows x m) is overwritten; transient buffers
-// bump from `scratch`.
+// bump from `scratch`. Fills every field of `stats` but the two timings.
 void FinishForwardFromClustering(ReuseClustering* clustering,
                                  const Tensor& weight, const Tensor* bias,
                                  ClusterReuseCache* cache, int num_hashes,
                                  ScratchAllocator* scratch, float* y,
-                                 ForwardReuseStats* stats) {
+                                 ReuseLayerStats* stats) {
   const int64_t num_rows = clustering->num_rows;
   const int64_t k = clustering->num_cols;
   const int64_t m = weight.shape()[1];
@@ -49,6 +48,8 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
 
   int64_t batch_clusters = 0;
   int64_t batch_reused = 0;
+  double gemm_macs = 0.0;
+  double scatter_macs = 0.0;  // adds from reconstructing y, counted as MACs
 
   ADR_TRACE_SPAN("centroid_gemm_scatter");
   for (size_t bi = 0; bi < clustering->blocks.size(); ++bi) {
@@ -127,7 +128,7 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
                       }
                     });
       }
-      stats->macs_gemm += static_cast<double>(num_miss) * length * m;
+      gemm_macs += static_cast<double>(num_miss) * length * m;
       if (cache != nullptr) {
         cache->InsertBatch(static_cast<int64_t>(bi), block.signatures.data(),
                            miss_clusters, num_miss, block.centroids.data(),
@@ -137,7 +138,7 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
 
     // 3. Reconstruct: y[i] += y_c[cluster(i)].
     ScatterClusterOutputs(yc, block.clustering, num_rows, m, y);
-    stats->macs_scatter += static_cast<double>(num_rows) * m;
+    scatter_macs += static_cast<double>(num_rows) * m;
   }
 
   if (bias != nullptr) {
@@ -149,12 +150,13 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
   for (const auto& block : clustering->blocks) {
     hash_macs += static_cast<double>(num_rows) * block.length * num_hashes;
   }
-  stats->macs_hash = hash_macs;
+  stats->forward_calls = 1;
+  stats->avg_remaining_ratio = clustering->AverageRemainingRatio();
+  stats->macs_executed = hash_macs + gemm_macs + scatter_macs;
   stats->macs_baseline = static_cast<double>(num_rows) * k * m;
   stats->clusters_total = batch_clusters;
   stats->clusters_reused = batch_reused;
-  stats->avg_remaining_ratio = clustering->AverageRemainingRatio();
-  stats->batch_reuse_rate =
+  stats->last_batch_reuse_rate =
       batch_clusters == 0 ? 0.0
                           : static_cast<double>(batch_reused) /
                                 static_cast<double>(batch_clusters);
@@ -167,7 +169,7 @@ void ClusteredForward(const BlockLshFamilies& families,
                       const Tensor* bias, int64_t rows_per_group,
                       ClusterReuseCache* cache, WorkspaceArena* arena,
                       StreamingSubVectorClusterer* clusterer, float* y,
-                      ReuseClustering* clustering, ForwardReuseStats* stats) {
+                      ReuseClustering* clustering, ReuseLayerStats* stats) {
   const int64_t n = rows.num_rows;
   const int64_t k = families.k();
   ADR_CHECK(!rows.unfold || rows.geo.unfolded_cols() == k);
@@ -176,6 +178,7 @@ void ClusteredForward(const BlockLshFamilies& families,
   ADR_CHECK(clusterer != nullptr);
 
   ADR_TRACE_SPAN("ClusteredForward");
+  *stats = ReuseLayerStats{};
   Timer timer;
   ScratchAllocator scratch(arena);
 
@@ -208,13 +211,6 @@ void ClusteredForward(const BlockLshFamilies& families,
                               families.family(0).num_hashes(), &scratch, y,
                               stats);
   stats->gemm_seconds = timer.ElapsedSeconds();
-
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.counter("core/clustered_forwards")->Increment();
-  metrics.counter("core/clusters_total")->Increment(stats->clusters_total);
-  metrics.counter("core/clusters_reused")->Increment(stats->clusters_reused);
-  metrics.histogram("core/hash_seconds")->Record(stats->hash_seconds);
-  metrics.histogram("core/gemm_seconds")->Record(stats->gemm_seconds);
 }
 
 ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,

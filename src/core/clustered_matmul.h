@@ -10,34 +10,18 @@
 
 #include "core/cluster_cache.h"
 #include "core/subvector_clustering.h"
+#include "nn/reuse_stats.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace_arena.h"
 
 namespace adr {
 
-/// \brief Instrumentation of one reuse forward pass.
-struct ForwardReuseStats {
-  int64_t clusters_total = 0;
-  int64_t clusters_reused = 0;  ///< served from the CR cache
-  double avg_remaining_ratio = 0.0;
-  double hash_seconds = 0.0;  ///< hashing + grouping + centroids
-  double gemm_seconds = 0.0;  ///< centroid GEMM + scatter + bias
-  /// Multiply-accumulates actually executed, split per phase.
-  double macs_hash = 0.0;
-  double macs_gemm = 0.0;
-  double macs_scatter = 0.0;  ///< adds from reconstructing y (counted as MACs)
-  /// MACs a dense x*W GEMM would have executed.
-  double macs_baseline = 0.0;
-  /// Per-batch cluster reuse rate R (0 when no cache is used).
-  double batch_reuse_rate = 0.0;
-};
-
 /// \brief Result of the reuse forward pass.
 struct ForwardReuseResult {
   Tensor y_rows;               ///< [N, M]
   ReuseClustering clustering;  ///< retained for the backward pass
-  ForwardReuseStats stats;
+  ReuseLayerStats stats;       ///< this call's record
 };
 
 /// \brief The N x K unfolded rows a clustered forward reads, from one of
@@ -72,13 +56,14 @@ struct ForwardRows {
 /// clustering scope (see StreamingSubVectorClusterer). `y` is
 /// num_rows x M, overwritten. The clusterer's buffers (and, via Recycle,
 /// the returned clustering's) persist across steps; scratch comes from
-/// `arena` (heap fallback when null).
+/// `arena` (heap fallback when null). `stats` is overwritten with this
+/// call's record.
 void ClusteredForward(const BlockLshFamilies& families,
                       const ForwardRows& rows, const Tensor& weight,
                       const Tensor* bias, int64_t rows_per_group,
                       ClusterReuseCache* cache, WorkspaceArena* arena,
                       StreamingSubVectorClusterer* clusterer, float* y,
-                      ReuseClustering* clustering, ForwardReuseStats* stats);
+                      ReuseClustering* clustering, ReuseLayerStats* stats);
 
 /// \brief ClusteredForward over the `num_rows` x K matrix `x`, with its
 /// own clusterer and heap scratch, returning freshly allocated results.

@@ -61,7 +61,7 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
                        const Tensor& weight, const float* dy,
                        WorkspaceArena* arena, float* grad_weight,
                        float* grad_bias, float* grad_x,
-                       BackwardReuseStats* stats) {
+                       ReuseLayerStats* stats) {
   const int64_t n = clustering.num_rows;
   const int64_t k = clustering.num_cols;
   ADR_CHECK_EQ(weight.shape().rank(), 2);
@@ -70,6 +70,7 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
 
   Timer timer;
   ScratchAllocator scratch(arena);
+  double macs = 0.0;
   ColumnSumsInto(dy, n, m, grad_bias);
 
   for (const SubMatrixClustering& block : clustering.blocks) {
@@ -82,14 +83,14 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
     float* sums = scratch.Floats(num_clusters * m);
     float* partials = scratch.Floats(chunks * num_clusters * m);
     ClusterRowSums(dy, block.clustering, n, m, partials, sums);
-    stats->macs += static_cast<double>(n - num_clusters) * m;
+    macs += static_cast<double>(n - num_clusters) * m;
 
     // dW_I = x_c^T * dy_{c,s} (Eq. 10), written into rows
     // [col_offset, col_offset + L) of dW. The blocks tile [0, K), so dW
     // is fully overwritten.
     GemmTransA(block.centroids.data(), sums,
                grad_weight + block.col_offset * m, length, num_clusters, m);
-    stats->macs += static_cast<double>(num_clusters) * length * m;
+    macs += static_cast<double>(num_clusters) * length * m;
 
     // dy_{c,sa}: average instead of sum (divide each row by N_l).
     const simd::Kernels& kernels = simd::Active();
@@ -107,7 +108,7 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
     // dx_c = dy_{c,sa} * W_I^T (Eq. 18).
     float* dx_c = scratch.Floats(num_clusters * length);
     GemmTransB(sums, w_block, dx_c, num_clusters, m, length);
-    stats->macs += static_cast<double>(num_clusters) * length * m;
+    macs += static_cast<double>(num_clusters) * length * m;
 
     // Scatter the centroid delta to every member row (Eq. 13); column
     // ranges tile [0, K), so dx is fully overwritten.
@@ -115,7 +116,9 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
                 k);
   }
 
-  stats->seconds = timer.ElapsedSeconds();
+  *stats = ReuseLayerStats{};
+  stats->backward_seconds = timer.ElapsedSeconds();
+  stats->macs_executed = macs;
   stats->macs_baseline = 2.0 * static_cast<double>(n) * k * m;
 }
 

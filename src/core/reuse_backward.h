@@ -8,24 +8,20 @@
 #include <cstdint>
 
 #include "core/subvector_clustering.h"
+#include "nn/reuse_stats.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace_arena.h"
 
 namespace adr {
-
-/// \brief Instrumentation of one reuse backward pass.
-struct BackwardReuseStats {
-  double seconds = 0.0;
-  double macs = 0.0;           ///< MACs actually executed
-  double macs_baseline = 0.0;  ///< 2 * N * K * M of the exact backward
-};
 
 /// \brief Result of the reuse backward pass.
 struct BackwardReuseResult {
   Tensor grad_weight;  ///< [K, M]
   Tensor grad_bias;    ///< [M]
   Tensor grad_x;       ///< [N, K] gradient w.r.t. the unfolded input
-  BackwardReuseStats stats;
+  /// This call's record: backward_seconds, and MACs against the
+  /// 2 * N * K * M of the exact backward.
+  ReuseLayerStats stats;
 };
 
 /// \brief Computes the paper's approximate backward pass.
@@ -45,11 +41,12 @@ BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
 /// arena. `dy` is N x M; `grad_weight` ([K, M]), `grad_bias` ([M]) and
 /// `grad_x` ([N, K]) are fully overwritten; per-block scratch bumps from
 /// `arena` (heap fallback when null). Bit-identical to ReuseBackward.
+/// `stats` is overwritten with this call's record.
 void ReuseBackwardInto(const ReuseClustering& clustering,
                        const Tensor& weight, const float* dy,
                        WorkspaceArena* arena, float* grad_weight,
                        float* grad_bias, float* grad_x,
-                       BackwardReuseStats* stats);
+                       ReuseLayerStats* stats);
 
 }  // namespace adr
 

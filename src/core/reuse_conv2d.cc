@@ -16,10 +16,40 @@ namespace adr {
 
 ReuseConv2d::ReuseConv2d(std::string name, const Conv2dConfig& config,
                          const ReuseConfig& reuse, Rng* rng)
-    : name_(std::move(name)),
-      metric_prefix_("reuse/" + name_ + "/"),
-      config_(config),
-      reuse_(reuse) {
+    : name_(std::move(name)), config_(config), reuse_(reuse) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const std::string prefix = "reuse/" + name_ + "/";
+  const auto counter = [&](const char* series) {
+    return registry.counter(prefix + series);
+  };
+  const auto gauge = [&](const char* series) {
+    return registry.gauge(prefix + series);
+  };
+  const auto histogram = [&](const char* series) {
+    return registry.histogram(prefix + series);
+  };
+  metrics_ = {counter("forward_calls"),
+              gauge("enabled"),
+              gauge("r_c"),
+              gauge("reuse_rate"),
+              gauge("clusters"),
+              counter("clusters_reused"),
+              histogram("im2col_seconds"),
+              histogram("hash_seconds"),
+              histogram("gemm_seconds"),
+              histogram("backward_seconds"),
+              gauge("forward_cost_predicted"),
+              gauge("forward_cost_measured"),
+              gauge("workspace_bytes"),
+              counter("allocations_per_step"),
+              gauge("cache_entries"),
+              gauge("cache_resident_bytes"),
+              gauge("cache_occupancy"),
+              counter("cache_hits"),
+              counter("cache_misses"),
+              counter("cache_evictions"),
+              histogram("cache_probe_length")};
+
   const int64_t k = unfolded_cols();
   const int64_t m = config_.out_channels;
   ADR_CHECK_GT(k, 0);
@@ -118,43 +148,39 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
     ADR_TRACE_SPAN("im2col");
     Timer im2col_timer;
     Im2Col(geo, input.data(), cols);
-    MetricsRegistry::Global()
-        .histogram(metric_prefix_ + "im2col_seconds")
-        ->Record(im2col_timer.ElapsedSeconds());
+    metrics_.im2col_seconds->Record(im2col_timer.ElapsedSeconds());
     if (training) cached_cols_data_ = cols;
   }
   float* y = arena_.AllocFloats(n * m);
 
+  ReuseLayerStats call;
   if (!reuse_.enabled) {
-    // Dense path: identical to Conv2d.
+    // Dense path: identical to Conv2d. Every row is its own cluster.
     Gemm(cols, weight_.data(), y, n, k, m);
     AddRowBias(bias_.data(), y, n, m);
-    ++stats_.forward_calls;
-    stats_.macs_executed += static_cast<double>(n) * k * m;
-    stats_.macs_baseline += static_cast<double>(n) * k * m;
-    MetricsRegistry& metrics = MetricsRegistry::Global();
-    metrics.counter(metric_prefix_ + "forward_calls")->Increment();
-    metrics.gauge(metric_prefix_ + "enabled")->Set(0.0);
+    call.forward_calls = 1;
+    call.avg_remaining_ratio = 1.0;
+    call.macs_executed = static_cast<double>(n) * k * m;
+    call.macs_baseline = call.macs_executed;
   } else {
     const int64_t rows_per_group =
         reuse_.scope == ClusterScope::kSingleInput ? geo.rows_per_image()
                                                    : n;
     ReuseClustering clustering;
-    ForwardReuseStats fs;
     if (lsh) {
       const ForwardRows rows = cols != nullptr
                                    ? ForwardRows::Matrix(cols, n)
                                    : ForwardRows::Unfold(geo, input.data());
       ClusteredForward(families_, rows, weight_, &bias_, rows_per_group,
                        cache_.get(), &arena_, &clusterer_, y, &clustering,
-                       &fs);
+                       &call);
     } else {
       ForwardReuseResult forward = KMeansMatmulForward(
           cols, n, k, reuse_.EffectiveLength(k), weight_, &bias_,
           rows_per_group, reuse_.kmeans_clusters, reuse_.kmeans_iterations,
           reuse_.seed);
       clustering = std::move(forward.clustering);
-      fs = forward.stats;
+      call = forward.stats;
       std::copy_n(forward.y_rows.data(), n * m, y);
     }
 
@@ -163,112 +189,84 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
     } else {
       clusterer_.Recycle(std::move(clustering));
     }
-
-    // Telemetry (running mean of r_c; cumulative times and MACs).
-    const double prev_count = static_cast<double>(stats_.forward_calls);
-    stats_.avg_remaining_ratio =
-        (stats_.avg_remaining_ratio * prev_count + fs.avg_remaining_ratio) /
-        (prev_count + 1.0);
-    ++stats_.forward_calls;
-    stats_.hash_seconds += fs.hash_seconds;
-    stats_.gemm_seconds += fs.gemm_seconds;
-    stats_.macs_executed += fs.macs_hash + fs.macs_gemm + fs.macs_scatter;
-    stats_.macs_baseline += fs.macs_baseline;
-    stats_.last_batch_reuse_rate = fs.batch_reuse_rate;
-    PublishForwardMetrics(fs);
-    PublishCacheMetrics();
   }
-  PublishWorkspaceMetrics();
+  stats_.Add(call);
+  Publish(call);
 
   Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
   RowsToNchw(y, batch, m, geo.out_height(), geo.out_width(), out.data());
   return out;
 }
 
-void ReuseConv2d::PublishForwardMetrics(const ForwardReuseStats& fs) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.counter(metric_prefix_ + "forward_calls")->Increment();
-  metrics.gauge(metric_prefix_ + "enabled")->Set(1.0);
-  metrics.gauge(metric_prefix_ + "r_c")->Set(fs.avg_remaining_ratio);
-  metrics.gauge(metric_prefix_ + "reuse_rate")->Set(fs.batch_reuse_rate);
-  metrics.gauge(metric_prefix_ + "clusters")
-      ->Set(static_cast<double>(fs.clusters_total));
-  metrics.counter(metric_prefix_ + "clusters_reused")
-      ->Increment(fs.clusters_reused);
-  metrics.histogram(metric_prefix_ + "hash_seconds")
-      ->Record(fs.hash_seconds);
-  metrics.histogram(metric_prefix_ + "gemm_seconds")
-      ->Record(fs.gemm_seconds);
+void ReuseConv2d::Publish(const ReuseLayerStats& call) {
+  if (call.forward_calls > 0) {
+    metrics_.forward_calls->Increment(call.forward_calls);
+    metrics_.enabled->Set(reuse_.enabled ? 1.0 : 0.0);
+    metrics_.r_c->Set(call.avg_remaining_ratio);
+    metrics_.reuse_rate->Set(call.last_batch_reuse_rate);
+    metrics_.clusters->Set(static_cast<double>(call.clusters_total));
+    metrics_.clusters_reused->Increment(call.clusters_reused);
+    if (reuse_.enabled) {
+      metrics_.hash_seconds->Record(call.hash_seconds);
+      metrics_.gemm_seconds->Record(call.gemm_seconds);
+    }
 
-  // Predicted (Eq. 5, or Eq. 6 under cluster reuse) vs measured relative
-  // forward cost, both against the dense N*K*M baseline of this batch.
-  ComplexityParams params;
-  params.k = unfolded_cols();
-  params.m = config_.out_channels;
-  params.l = reuse_.EffectiveLength(params.k);
-  params.h = reuse_.num_hashes;
-  params.rc = fs.avg_remaining_ratio;
-  params.reuse_rate = fs.batch_reuse_rate;
-  const double predicted = reuse_.ClusterReuseEnabled()
-                               ? ForwardRelativeCostClusterReuse(params)
-                               : ForwardRelativeCost(params);
-  const double measured =
-      fs.macs_baseline == 0.0
-          ? 0.0
-          : (fs.macs_hash + fs.macs_gemm + fs.macs_scatter) /
-                fs.macs_baseline;
-  metrics.gauge(metric_prefix_ + "forward_cost_predicted")->Set(predicted);
-  metrics.gauge(metric_prefix_ + "forward_cost_measured")->Set(measured);
-}
+    // Predicted (Eq. 5, or Eq. 6 under cluster reuse; 1 when dense) vs
+    // measured relative forward cost, both against the dense N*K*M
+    // baseline of this batch.
+    ComplexityParams params;
+    params.k = unfolded_cols();
+    params.m = config_.out_channels;
+    params.l = reuse_.EffectiveLength(params.k);
+    params.h = reuse_.num_hashes;
+    params.rc = call.avg_remaining_ratio;
+    params.reuse_rate = call.last_batch_reuse_rate;
+    const double predicted = !reuse_.enabled ? 1.0
+                             : reuse_.ClusterReuseEnabled()
+                                 ? ForwardRelativeCostClusterReuse(params)
+                                 : ForwardRelativeCost(params);
+    metrics_.forward_cost_predicted->Set(predicted);
+    metrics_.forward_cost_measured->Set(
+        call.macs_baseline == 0.0 ? 0.0
+                                  : call.macs_executed / call.macs_baseline);
 
-void ReuseConv2d::PublishWorkspaceMetrics() {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.gauge(metric_prefix_ + "workspace_bytes")
-      ->Set(static_cast<double>(arena_.reserved_bytes()));
+    if (cache_ != nullptr) {
+      const ClusterReuseCache::Stats cache = cache_->GetStats();
+      metrics_.cache_entries->Set(static_cast<double>(cache.entries));
+      metrics_.cache_resident_bytes->Set(
+          static_cast<double>(cache.resident_bytes));
+      metrics_.cache_occupancy->Set(
+          cache.slots == 0 ? 0.0
+                           : static_cast<double>(cache.entries) /
+                                 static_cast<double>(cache.slots));
+      // The cache's counters are cumulative; the registry counters
+      // advance by the delta since the last publish (same pattern as
+      // alloc_slabs).
+      metrics_.cache_hits->Increment(cache.hits - published_cache_.hits);
+      metrics_.cache_misses->Increment(
+          (cache.lookups - cache.hits) -
+          (published_cache_.lookups - published_cache_.hits));
+      metrics_.cache_evictions->Increment(cache.evictions -
+                                          published_cache_.evictions);
+      for (int b = 0; b < ClusterReuseCache::kProbeBuckets; ++b) {
+        const size_t i = static_cast<size_t>(b);
+        metrics_.cache_probe_length->RecordN(
+            static_cast<double>(b + 1),
+            cache.probe_counts[i] - published_cache_.probe_counts[i]);
+      }
+      published_cache_ = cache;
+    }
+  } else {
+    metrics_.backward_seconds->Record(call.backward_seconds);
+  }
+
+  metrics_.workspace_bytes->Set(static_cast<double>(arena_.reserved_bytes()));
   // Hot-path slab allocations since the last publish; 0 at every publish
   // once the arena plan is warm — the counter's total therefore converges
   // after the first step at fixed shapes.
-  metrics.counter(metric_prefix_ + "allocations_per_step")
-      ->Increment(arena_.alloc_slabs() - published_alloc_slabs_);
+  metrics_.allocations_per_step->Increment(arena_.alloc_slabs() -
+                                           published_alloc_slabs_);
   published_alloc_slabs_ = arena_.alloc_slabs();
-}
-
-void ReuseConv2d::PublishCacheMetrics() {
-  if (cache_ == nullptr) return;
-  const ClusterReuseCache::Stats stats = cache_->GetStats();
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-
-  metrics.gauge(metric_prefix_ + "cache_entries")
-      ->Set(static_cast<double>(stats.entries));
-  metrics.gauge(metric_prefix_ + "cache_resident_bytes")
-      ->Set(static_cast<double>(stats.resident_bytes));
-  metrics.gauge(metric_prefix_ + "cache_occupancy")
-      ->Set(stats.slots == 0 ? 0.0
-                             : static_cast<double>(stats.entries) /
-                                   static_cast<double>(stats.slots));
-
-  // The cache's counters are cumulative; the registry counters advance by
-  // the delta since the last publish (same pattern as alloc_slabs).
-  metrics.counter(metric_prefix_ + "cache_hits")
-      ->Increment(stats.hits - published_cache_.hits);
-  metrics.counter(metric_prefix_ + "cache_misses")
-      ->Increment((stats.lookups - stats.hits) -
-                  (published_cache_.lookups - published_cache_.hits));
-  metrics.counter(metric_prefix_ + "cache_evictions")
-      ->Increment(stats.evictions - published_cache_.evictions);
-  Histogram* probes = metrics.histogram(metric_prefix_ + "cache_probe_length");
-  for (int b = 0; b < ClusterReuseCache::kProbeBuckets; ++b) {
-    probes->RecordN(static_cast<double>(b + 1),
-                    stats.probe_counts[static_cast<size_t>(b)] -
-                        published_cache_.probe_counts[static_cast<size_t>(b)]);
-  }
-  published_cache_ = stats;
-
-  stats_.cache_lookups = stats.lookups;
-  stats_.cache_hits = stats.hits;
-  stats_.cache_evictions = stats.evictions;
-  stats_.cache_entries = stats.entries;
-  stats_.cache_resident_bytes = stats.resident_bytes;
 }
 
 Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
@@ -288,6 +286,7 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
   Tensor grad_input(Shape({cached_batch_, config_.in_channels,
                            config_.in_height, config_.in_width}));
 
+  ReuseLayerStats call;
   if (exact_backward_ || !reuse_.enabled) {
     // Ablation path: exact gradients from the cached unfolded input.
     Timer timer;
@@ -297,28 +296,18 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
     ColumnSumsInto(dy, n, m, grad_bias_.data());
     ConvBackwardInput(geo, dy, weight_.data(), m, &arena_,
                       grad_input.data());
-    const double seconds = timer.ElapsedSeconds();
-    stats_.backward_seconds += seconds;
-    stats_.macs_executed += 2.0 * static_cast<double>(n) * k * m;
-    stats_.macs_baseline += 2.0 * static_cast<double>(n) * k * m;
-    MetricsRegistry::Global()
-        .histogram(metric_prefix_ + "backward_seconds")
-        ->Record(seconds);
+    call.backward_seconds = timer.ElapsedSeconds();
+    call.macs_executed = 2.0 * static_cast<double>(n) * k * m;
+    call.macs_baseline = call.macs_executed;
   } else {
     float* dx_cols = arena_.AllocFloats(n * k);
-    BackwardReuseStats bstats;
     ReuseBackwardInto(cached_clustering_, weight_, dy, &arena_,
                       grad_weight_.data(), grad_bias_.data(), dx_cols,
-                      &bstats);
-    stats_.backward_seconds += bstats.seconds;
-    stats_.macs_executed += bstats.macs;
-    stats_.macs_baseline += bstats.macs_baseline;
-    MetricsRegistry::Global()
-        .histogram(metric_prefix_ + "backward_seconds")
-        ->Record(bstats.seconds);
+                      &call);
     Col2Im(geo, dx_cols, grad_input.data());
   }
-  PublishWorkspaceMetrics();
+  stats_.Add(call);
+  Publish(call);
   return grad_input;
 }
 
@@ -337,6 +326,8 @@ void ReuseConv2d::CopyWeightsFrom(const Conv2d& baseline) {
 
 void ReuseConv2d::ClearCache() {
   if (cache_ != nullptr) cache_->Clear();
+  // The cleared cache counts from zero again; so must the deltas.
+  published_cache_ = ClusterReuseCache::Stats{};
 }
 
 }  // namespace adr

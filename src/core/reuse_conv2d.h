@@ -23,6 +23,10 @@
 
 namespace adr {
 
+class Counter;
+class Gauge;
+class Histogram;
+
 /// \brief Convolution layer accelerated by adaptive deep reuse.
 class ReuseConv2d : public Layer {
  public:
@@ -72,8 +76,11 @@ class ReuseConv2d : public Layer {
   const ReuseLayerStats* GetReuseStats() const override { return &stats_; }
   void ResetReuseStats() override { ResetStats(); }
 
-  /// \brief Cluster-reuse cache (present whenever CR is enabled).
+  /// \brief Cluster-reuse cache (present whenever CR is enabled); its
+  /// GetStats() is the one source of cache telemetry.
   const ClusterReuseCache* cache() const { return cache_.get(); }
+  /// \brief Drops every cache entry and counter; the published
+  /// reuse/<name>/cache_* counters keep counting up from where they were.
   void ClearCache();
 
   /// \brief Budgets for the cluster-reuse cache (0 = unbounded): at most
@@ -89,8 +96,35 @@ class ReuseConv2d : public Layer {
   const WorkspaceArena& workspace() const { return arena_; }
 
  private:
+  /// Handles of the layer's series under "reuse/<name>/" in
+  /// MetricsRegistry::Global(), resolved once by the constructor (the
+  /// global registry is never cleared, so they stay valid).
+  struct MetricHandles {
+    Counter* forward_calls;
+    Gauge* enabled;
+    Gauge* r_c;
+    Gauge* reuse_rate;
+    Gauge* clusters;
+    Counter* clusters_reused;
+    Histogram* im2col_seconds;
+    Histogram* hash_seconds;
+    Histogram* gemm_seconds;
+    Histogram* backward_seconds;
+    Gauge* forward_cost_predicted;
+    Gauge* forward_cost_measured;
+    Gauge* workspace_bytes;
+    Counter* allocations_per_step;
+    Gauge* cache_entries;
+    Gauge* cache_resident_bytes;
+    Gauge* cache_occupancy;
+    Counter* cache_hits;
+    Counter* cache_misses;
+    Counter* cache_evictions;
+    Histogram* cache_probe_length;
+  };
+
   std::string name_;
-  std::string metric_prefix_;  ///< "reuse/<name>/", see PublishMetrics
+  MetricHandles metrics_ = {};
   Conv2dConfig config_;
   ReuseConfig reuse_;
   Tensor weight_;       ///< [K, M]
@@ -128,20 +162,14 @@ class ReuseConv2d : public Layer {
 
   void RebuildFamilies();
 
-  /// Publishes the layer's per-batch telemetry (r_c, reuse rate R,
-  /// cluster count, phase wall-times, predicted-vs-measured Eq. 5/6
-  /// forward cost) into MetricsRegistry::Global() under metric_prefix_.
-  void PublishForwardMetrics(const ForwardReuseStats& stats);
-
-  /// Publishes workspace_bytes (arena capacity gauge) and
-  /// allocations_per_step (counter of hot-path slab allocations since the
-  /// last publish — zero every step once the arena plan is warm).
-  void PublishWorkspaceMetrics();
-
-  /// Publishes the cluster-reuse cache's occupancy, resident bytes,
-  /// hit/miss/eviction counter deltas, and probe-length histogram under
-  /// metric_prefix_ + "cache_". No-op while CR is disabled.
-  void PublishCacheMetrics();
+  /// Publishes one forward or backward call's record through metrics_:
+  /// per forward, r_c, reuse rate R, cluster counts, phase
+  /// wall-times, predicted (Eq. 5/6) vs measured relative forward cost and
+  /// the cache's occupancy plus counter deltas; per backward, its
+  /// wall-time; after both, workspace_bytes (arena capacity) and
+  /// allocations_per_step (hot-path slab allocations since the last
+  /// publish, zero once the arena plan is warm).
+  void Publish(const ReuseLayerStats& call);
 };
 
 }  // namespace adr

@@ -1,67 +1,42 @@
 #include "core/reuse_report.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace adr {
 
-ReuseReport CollectReuseReport(const std::vector<ReuseConv2d*>& layers) {
-  ReuseReport report;
-  for (ReuseConv2d* layer : layers) {
-    LayerReuseReport entry;
-    entry.name = layer->name();
-    entry.config = layer->reuse_config();
-    entry.k = layer->unfolded_cols();
-    entry.m = layer->config().out_channels;
-    const ReuseLayerStats& stats = layer->stats();
-    entry.avg_remaining_ratio = stats.avg_remaining_ratio;
-    entry.macs_executed = stats.macs_executed;
-    entry.macs_baseline = stats.macs_baseline;
-    entry.hash_seconds = stats.hash_seconds;
-    entry.gemm_seconds = stats.gemm_seconds;
-    entry.backward_seconds = stats.backward_seconds;
-    report.total_macs_executed += entry.macs_executed;
-    report.total_macs_baseline += entry.macs_baseline;
-    report.layers.push_back(std::move(entry));
+std::string FormatReuseReport(const std::vector<ReuseConv2d*>& layers) {
+  // The config column is as wide as its longest entry, so rows stay
+  // aligned with the header.
+  int config_width = 6;
+  for (const ReuseConv2d* layer : layers) {
+    config_width = std::max(
+        config_width,
+        static_cast<int>(layer->reuse_config().ToString().size()));
   }
-  return report;
-}
-
-std::string FormatReuseReport(const ReuseReport& report) {
   std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "%-10s %-28s %6s %6s %8s %10s\n",
-                "layer", "config", "K", "M", "r_c", "MACs saved");
+  char line[512];
+  std::snprintf(line, sizeof(line), "%-10s %-*s %6s %6s %8s %10s\n", "layer",
+                config_width, "config", "K", "M", "r_c", "MACs saved");
   out += line;
-  for (const LayerReuseReport& layer : report.layers) {
-    std::snprintf(line, sizeof(line), "%-10s %-28s %6lld %6lld %8.3f %9.1f%%\n",
-                  layer.name.c_str(), layer.config.ToString().c_str(),
-                  static_cast<long long>(layer.k),
-                  static_cast<long long>(layer.m),
-                  layer.avg_remaining_ratio,
-                  layer.MacsSavedFraction() * 100.0);
+  ReuseLayerStats total;
+  for (const ReuseConv2d* layer : layers) {
+    const ReuseLayerStats& stats = layer->stats();
+    std::snprintf(line, sizeof(line),
+                  "%-10s %-*s %6lld %6lld %8.3f %9.1f%%\n",
+                  layer->name().c_str(), config_width,
+                  layer->reuse_config().ToString().c_str(),
+                  static_cast<long long>(layer->unfolded_cols()),
+                  static_cast<long long>(layer->config().out_channels),
+                  stats.avg_remaining_ratio, stats.MacsSavedFraction() * 100.0);
     out += line;
+    total.Add(stats);
   }
-  std::snprintf(line, sizeof(line), "%-10s %-28s %6s %6s %8s %9.1f%%\n",
-                "TOTAL", "", "", "", "",
-                report.MacsSavedFraction() * 100.0);
+  std::snprintf(line, sizeof(line), "%-10s %-*s %6s %6s %8s %9.1f%%\n",
+                "TOTAL", config_width, "", "", "", "",
+                total.MacsSavedFraction() * 100.0);
   out += line;
   return out;
-}
-
-Status ApplyReuseConfig(const std::vector<ReuseConv2d*>& layers,
-                        const ReuseConfig& config) {
-  for (ReuseConv2d* layer : layers) {
-    ReuseConfig clamped = config;
-    if (clamped.sub_vector_length > layer->unfolded_cols()) {
-      clamped.sub_vector_length = layer->unfolded_cols();
-    }
-    ADR_RETURN_NOT_OK(layer->SetReuseConfig(clamped));
-  }
-  return Status::OK();
-}
-
-void ResetReuseStats(const std::vector<ReuseConv2d*>& layers) {
-  for (ReuseConv2d* layer : layers) layer->ResetStats();
 }
 
 }  // namespace adr

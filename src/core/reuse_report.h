@@ -1,5 +1,5 @@
-// Aggregated reporting helpers over a model's reuse layers: used by the
-// examples and bench harness to answer "what did reuse buy on this run?"
+// The per-layer savings table of a model's reuse layers: what did reuse
+// buy on this run?
 
 #ifndef ADR_CORE_REUSE_REPORT_H_
 #define ADR_CORE_REUSE_REPORT_H_
@@ -7,54 +7,14 @@
 #include <string>
 #include <vector>
 
-#include "core/reuse_config.h"
 #include "core/reuse_conv2d.h"
 
 namespace adr {
 
-/// \brief Snapshot of one layer's reuse behaviour.
-struct LayerReuseReport {
-  std::string name;
-  ReuseConfig config;
-  int64_t k = 0;
-  int64_t m = 0;
-  double avg_remaining_ratio = 0.0;
-  double macs_executed = 0.0;
-  double macs_baseline = 0.0;
-  double hash_seconds = 0.0;
-  double gemm_seconds = 0.0;
-  double backward_seconds = 0.0;
-
-  double MacsSavedFraction() const {
-    return macs_baseline == 0.0 ? 0.0 : 1.0 - macs_executed / macs_baseline;
-  }
-};
-
-/// \brief Whole-model aggregate plus the per-layer breakdown.
-struct ReuseReport {
-  std::vector<LayerReuseReport> layers;
-  double total_macs_executed = 0.0;
-  double total_macs_baseline = 0.0;
-
-  double MacsSavedFraction() const {
-    return total_macs_baseline == 0.0
-               ? 0.0
-               : 1.0 - total_macs_executed / total_macs_baseline;
-  }
-};
-
-/// \brief Collects stats from every layer (does not reset them).
-ReuseReport CollectReuseReport(const std::vector<ReuseConv2d*>& layers);
-
-/// \brief Renders a fixed-width table, one row per layer plus a total row.
-std::string FormatReuseReport(const ReuseReport& report);
-
-/// \brief Applies `config` to every layer; stops at the first error.
-Status ApplyReuseConfig(const std::vector<ReuseConv2d*>& layers,
-                        const ReuseConfig& config);
-
-/// \brief Resets every layer's statistics.
-void ResetReuseStats(const std::vector<ReuseConv2d*>& layers);
+/// \brief Renders one row per layer (name, config, K, M, r_c, MACs saved)
+/// from its cumulative stats(), plus a total row. The config column is as
+/// wide as the longest config string, so every column lines up.
+std::string FormatReuseReport(const std::vector<ReuseConv2d*>& layers);
 
 }  // namespace adr
 

@@ -558,8 +558,6 @@ TEST(ClusterCacheTest, SteadyStateTrainingPerformsNoCacheAllocations) {
         << "cache-side allocation at step " << step;
   }
   EXPECT_GT(layer.cache()->hits(), 0);
-  EXPECT_EQ(layer.stats().cache_hits, layer.cache()->hits());
-  EXPECT_EQ(layer.stats().cache_entries, layer.cache()->TotalEntries());
 }
 
 // ---------------------------------------------------------------------------

@@ -89,17 +89,18 @@ TEST(ClusteredMatmulTest, StatsAccounting) {
   Tensor w = Tensor::RandomGaussian(Shape({8, 10}), &rng);
   const ForwardReuseResult result = ClusteredMatmulForward(
       *families, x.data(), 32, w, nullptr, 32, nullptr);
+  EXPECT_EQ(result.stats.forward_calls, 1);
   EXPECT_DOUBLE_EQ(result.stats.macs_baseline, 32.0 * 8 * 10);
-  EXPECT_DOUBLE_EQ(result.stats.macs_hash, 32.0 * 8 * 6);  // N*K*H
-  EXPECT_DOUBLE_EQ(result.stats.macs_scatter, 2.0 * 32 * 10);  // blocks*N*M
-  // GEMM MACs = sum_blocks |C_b| * L * M.
+  // Executed MACs = hashing N*K*H + scatter blocks*N*M + GEMM
+  // sum_blocks |C_b| * L * M.
   double expected_gemm = 0.0;
   for (const auto& block : result.clustering.blocks) {
     expected_gemm += static_cast<double>(block.clustering.num_clusters()) *
                      block.length * 10;
   }
-  EXPECT_DOUBLE_EQ(result.stats.macs_gemm, expected_gemm);
-  EXPECT_EQ(result.stats.batch_reuse_rate, 0.0);  // no cache
+  EXPECT_DOUBLE_EQ(result.stats.macs_executed,
+                   32.0 * 8 * 6 + 2.0 * 32 * 10 + expected_gemm);
+  EXPECT_EQ(result.stats.last_batch_reuse_rate, 0.0);  // no cache
 }
 
 TEST(ClusterReuseCacheTest, FindMissThenHit) {
@@ -163,9 +164,11 @@ TEST(ClusteredMatmulTest, SecondIdenticalBatchFullyReused) {
   const ForwardReuseResult second = ClusteredMatmulForward(
       *families, x.data(), 24, w, nullptr, 24, &cache);
   EXPECT_EQ(second.stats.clusters_reused, second.stats.clusters_total);
-  EXPECT_DOUBLE_EQ(second.stats.batch_reuse_rate, 1.0);
+  EXPECT_DOUBLE_EQ(second.stats.last_batch_reuse_rate, 1.0);
   EXPECT_TRUE(AllClose(second.y_rows, first.y_rows));
-  EXPECT_DOUBLE_EQ(second.stats.macs_gemm, 0.0);  // everything reused
+  // Everything reused: only hashing (N*K*H) and the scatter (blocks*N*M)
+  // execute, no centroid GEMM.
+  EXPECT_DOUBLE_EQ(second.stats.macs_executed, 24.0 * 10 * 10 + 2.0 * 24 * 6);
 }
 
 TEST(ClusteredMatmulTest, CacheServesStaleOutputsAfterWeightChange) {

@@ -1,6 +1,11 @@
-// Tests for ExactDedupRows and the reuse reporting helpers.
+// Tests for ExactDedupRows and the reuse report table.
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "clustering/exact_dedup.h"
 #include "clustering/lsh.h"
@@ -78,8 +83,7 @@ Conv2dConfig ReportConv() {
 
 TEST(ReuseReportTest, CollectsAndFormats) {
   Rng rng(3);
-  ReuseConfig reuse;
-  reuse.num_hashes = 8;
+  ReuseConfig reuse;  // default config: the longest ToString() in use
   ReuseConv2d layer1("conv1", ReportConv(), reuse, &rng);
   ReuseConv2d layer2("conv2", ReportConv(), reuse, &rng);
   Rng data_rng(4);
@@ -87,40 +91,41 @@ TEST(ReuseReportTest, CollectsAndFormats) {
   layer1.Forward(in, true);
   layer2.Forward(in, true);
 
-  const ReuseReport report = CollectReuseReport({&layer1, &layer2});
-  ASSERT_EQ(report.layers.size(), 2u);
-  EXPECT_EQ(report.layers[0].name, "conv1");
-  EXPECT_GT(report.total_macs_baseline, 0.0);
-  EXPECT_DOUBLE_EQ(report.total_macs_baseline,
-                   report.layers[0].macs_baseline +
-                       report.layers[1].macs_baseline);
+  const std::string table = FormatReuseReport({&layer1, &layer2});
+  std::vector<std::string> lines;
+  std::istringstream stream(table);
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);  // header, two layers, total
+  EXPECT_EQ(lines[1].rfind("conv1", 0), 0u);
+  EXPECT_EQ(lines[3].rfind("TOTAL", 0), 0u);
+  EXPECT_NE(lines[1].find(reuse.ToString()), std::string::npos);
 
-  const std::string table = FormatReuseReport(report);
-  EXPECT_NE(table.find("conv1"), std::string::npos);
-  EXPECT_NE(table.find("TOTAL"), std::string::npos);
-}
-
-TEST(ReuseReportTest, ApplyConfigClampsPerLayer) {
-  Rng rng(5);
-  ReuseConfig reuse;
-  reuse.num_hashes = 8;
-  ReuseConv2d layer("conv", ReportConv(), reuse, &rng);  // K = 18
-  ReuseConfig wide;
-  wide.sub_vector_length = 1000;
-  wide.num_hashes = 10;
-  ASSERT_TRUE(ApplyReuseConfig({&layer}, wide).ok());
-  EXPECT_LE(layer.reuse_config().sub_vector_length, 18);
-  EXPECT_EQ(layer.reuse_config().num_hashes, 10);
-}
-
-TEST(ReuseReportTest, ApplyConfigPropagatesErrors) {
-  Rng rng(6);
-  ReuseConfig reuse;
-  reuse.num_hashes = 8;
-  ReuseConv2d layer("conv", ReportConv(), reuse, &rng);
-  ReuseConfig bad;
-  bad.num_hashes = 0;
-  EXPECT_FALSE(ApplyReuseConfig({&layer}, bad).ok());
+  // Every row puts its r_c value in the columns that end where the
+  // header's "r_c" ends.
+  const size_t rc_pos = lines[0].find("r_c");
+  ASSERT_NE(rc_pos, std::string::npos);
+  const size_t rc_end = rc_pos + 3;
+  const ReuseConv2d* layers[] = {&layer1, &layer2};
+  for (int i = 0; i < 2; ++i) {
+    char rc[16];
+    std::snprintf(rc, sizeof(rc), "%8.3f",
+                  layers[i]->stats().avg_remaining_ratio);
+    ASSERT_GE(lines[1 + i].size(), rc_end);
+    EXPECT_EQ(lines[1 + i].substr(rc_end - 8, 8), rc) << lines[1 + i];
+  }
+  // The last column (MACs saved) ends with the header on every row.
+  for (const std::string& line : lines) {
+    EXPECT_EQ(line.size(), lines[0].size()) << line;
+  }
+  // The total is over both layers' MACs.
+  const double executed =
+      layer1.stats().macs_executed + layer2.stats().macs_executed;
+  const double baseline =
+      layer1.stats().macs_baseline + layer2.stats().macs_baseline;
+  char total[16];
+  std::snprintf(total, sizeof(total), "%9.1f%%",
+                (1.0 - executed / baseline) * 100.0);
+  EXPECT_EQ(lines[3].substr(lines[3].size() - 10), total);
 }
 
 TEST(ReuseReportTest, ResetStatsClearsAll) {
@@ -131,8 +136,9 @@ TEST(ReuseReportTest, ResetStatsClearsAll) {
   Rng data_rng(8);
   Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
   layer.Forward(in, true);
-  ResetReuseStats({&layer});
+  layer.ResetReuseStats();
   EXPECT_EQ(layer.stats().forward_calls, 0);
+  EXPECT_EQ(layer.stats().macs_baseline, 0.0);
 }
 
 }  // namespace

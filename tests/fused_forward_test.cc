@@ -105,11 +105,11 @@ struct Caches {
   ReferenceClusterCache reference;
 };
 
-void ExpectSameStats(const ForwardReuseStats& stats,
+void ExpectSameStats(const ReuseLayerStats& stats,
                      const ReferenceForwardResult& reference) {
   EXPECT_EQ(stats.clusters_total, reference.clusters_total);
   EXPECT_EQ(stats.clusters_reused, reference.clusters_reused);
-  EXPECT_DOUBLE_EQ(stats.batch_reuse_rate,
+  EXPECT_DOUBLE_EQ(stats.last_batch_reuse_rate,
                    static_cast<double>(reference.clusters_reused) /
                        static_cast<double>(reference.clusters_total));
 }
@@ -148,7 +148,7 @@ void ExpectDriverMatchesReference(const BlockLshFamilies& families,
     StreamingSubVectorClusterer clusterer;
     std::vector<float> y(static_cast<size_t>(n * m));
     ReuseClustering clustering;
-    ForwardReuseStats fs;
+    ReuseLayerStats fs;
     ClusteredForward(families, source.rows, weight, &bias, rows_per_group,
                      source.cache, &arena, &clusterer, y.data(), &clustering,
                      &fs);
@@ -284,7 +284,7 @@ TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
     arena.Reset();
     float* y = arena.AllocFloats(n * m);
     ReuseClustering clustering;
-    ForwardReuseStats fs;
+    ReuseLayerStats fs;
     const ForwardRows rows = step % 2 == 0
                                  ? ForwardRows::Unfold(geo, input.data())
                                  : ForwardRows::Matrix(cols.data(), n);

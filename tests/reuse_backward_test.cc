@@ -151,8 +151,8 @@ TEST(ReuseBackwardTest, MacAccounting) {
       ClusterSubVectors(*families, x.data(), 16, 16);
   const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
   EXPECT_DOUBLE_EQ(reuse.stats.macs_baseline, 2.0 * 16 * 8 * 5);
-  EXPECT_GT(reuse.stats.macs, 0.0);
-  EXPECT_LE(reuse.stats.macs, reuse.stats.macs_baseline);
+  EXPECT_GT(reuse.stats.macs_executed, 0.0);
+  EXPECT_LE(reuse.stats.macs_executed, reuse.stats.macs_baseline);
 }
 
 TEST(ReuseBackwardTest, CoarseClusteringStillDescends) {

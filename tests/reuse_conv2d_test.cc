@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/reuse_conv2d.h"
 #include "nn/conv2d.h"
 #include "tensor/tensor_ops.h"
+#include "util/metrics_registry.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -239,6 +243,55 @@ TEST(ReuseConv2dTest, ClusterReuseCacheAcrossBatches) {
   layer.ClearCache();
   layer.Forward(in, true);
   EXPECT_DOUBLE_EQ(layer.stats().last_batch_reuse_rate, 0.0);
+}
+
+TEST(ReuseConv2dTest, ClearCacheKeepsPublishedCountersMonotonic) {
+  // The layer publishes its record through registry handles; the cache's
+  // own counters restart at zero on ClearCache(), the published ones must
+  // not. The name is unique so no other test feeds these series.
+  ReuseConfig cr;
+  cr.sub_vector_length = 6;
+  cr.num_hashes = 8;
+  cr.cluster_reuse = true;
+  Rng rng(19);
+  ReuseConv2d layer("clear_cache_monotonic", SmallConv(), cr, &rng);
+  const std::string prefix = "reuse/clear_cache_monotonic/";
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+
+  Rng data_rng(20);
+  const Tensor inputs[] = {
+      Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng),
+      Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng)};
+  const Tensor grad = Tensor::RandomGaussian(Shape({2, 4, 6, 6}), &data_rng);
+  std::map<std::string, int64_t> last;
+  auto train = [&](int steps) {
+    for (int step = 0; step < steps; ++step) {
+      layer.Forward(inputs[step % 2], /*training=*/true);
+      layer.Backward(grad);
+      for (const auto& [name, value] : metrics.Snapshot().counters) {
+        if (name.rfind(prefix, 0) != 0) continue;
+        EXPECT_GE(value, last[name]) << name << " decreased";
+        last[name] = value;
+      }
+    }
+  };
+  const int k = 3;
+  const int j = 4;
+  train(k);
+  const int64_t lookups_before = layer.cache()->GetStats().lookups;
+  ASSERT_GT(layer.cache()->GetStats().hits, 0);
+  layer.ClearCache();
+  train(j);
+  const int64_t lookups_after = layer.cache()->GetStats().lookups;
+  ASSERT_GT(lookups_after, 0);
+
+  EXPECT_EQ(metrics.counter(prefix + "cache_hits")->value() +
+                metrics.counter(prefix + "cache_misses")->value(),
+            lookups_before + lookups_after);
+  EXPECT_EQ(metrics.counter(prefix + "forward_calls")->value(),
+            layer.stats().forward_calls);
+  EXPECT_EQ(layer.stats().forward_calls, k + j);
+  EXPECT_EQ(metrics.histogram(prefix + "backward_seconds")->count(), k + j);
 }
 
 TEST(ReuseConv2dTest, DisablingClusterReuseDropsCache) {

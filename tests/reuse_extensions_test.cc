@@ -62,13 +62,34 @@ TEST(ReuseDisabledTest, MacsCountedAsBaseline) {
   Rng rng(5);
   ReuseConfig off;
   off.enabled = false;
+  off.sub_vector_length = 9;
+  off.num_hashes = 4;
   ReuseConv2d layer("conv", SmallConv(), off, &rng);
   Rng data_rng(6);
   Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
   layer.Forward(in, true);
+  layer.Forward(in, true);
   EXPECT_DOUBLE_EQ(layer.stats().macs_executed,
                    layer.stats().macs_baseline);
   EXPECT_DOUBLE_EQ(layer.stats().MacsSavedFraction(), 0.0);
+  // A dense forward keeps every row: r_c = 1, not 0.
+  EXPECT_EQ(layer.stats().forward_calls, 2);
+  EXPECT_DOUBLE_EQ(layer.stats().avg_remaining_ratio, 1.0);
+
+  // Dense -> LSH: the running mean weighs the two dense calls at r_c = 1
+  // against the LSH call's own r_c (read off a twin layer with the same
+  // families).
+  ReuseConfig on = off;
+  on.enabled = true;
+  Rng twin_rng(5);
+  ReuseConv2d twin("conv", SmallConv(), on, &twin_rng);
+  twin.Forward(in, true);
+  const double lsh_rc = twin.stats().avg_remaining_ratio;
+  ASSERT_LT(lsh_rc, 1.0);
+  ASSERT_TRUE(layer.SetReuseConfig(on).ok());
+  layer.Forward(in, true);
+  EXPECT_EQ(layer.stats().forward_calls, 3);
+  EXPECT_DOUBLE_EQ(layer.stats().avg_remaining_ratio, (2.0 + lsh_rc) / 3.0);
 }
 
 TEST(ReuseKMeansTest, RunsAndApproximatesDense) {
