@@ -39,7 +39,7 @@ double EvalLayerConfig(const TrainedContext& context, size_t layer_index,
   ADR_CHECK(status.ok()) << status.ToString();
   const double accuracy =
       EvaluateAccuracy(&twin.network, context.dataset, 8, Scaled(96));
-  if (rc_out != nullptr) *rc_out = layer->stats().avg_remaining_ratio;
+  if (rc_out != nullptr) *rc_out = layer->GetReuseStats()->avg_remaining_ratio;
   return accuracy;
 }
 
@@ -113,8 +113,8 @@ void ObservationFour(CsvWriter* csv) {
         EvaluateAccuracy(&model->network, *dataset, 16, 128);
     double executed = 0.0, baseline = 0.0;
     for (ReuseConv2d* layer : model->reuse_layers) {
-      executed += layer->stats().macs_executed;
-      baseline += layer->stats().macs_baseline;
+      executed += layer->GetReuseStats()->macs_executed;
+      baseline += layer->GetReuseStats()->macs_baseline;
     }
     const double saved = 1.0 - executed / baseline;
     PrintRow({exact ? "exact" : "reused-clustering",

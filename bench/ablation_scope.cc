@@ -49,7 +49,7 @@ void Main() {
       ADR_CHECK(status.ok()) << status.ToString();
       const double accuracy = EvaluateAccuracy(
           &twin.network, context.dataset, 8, Scaled(128));
-      const double rc = layer->stats().avg_remaining_ratio;
+      const double rc = layer->GetReuseStats()->avg_remaining_ratio;
       const double reuse_rate =
           layer->cache() != nullptr ? layer->cache()->ReuseRate() : 0.0;
       PrintRow({std::string(ClusterScopeToString(scope)),

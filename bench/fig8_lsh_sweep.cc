@@ -50,10 +50,10 @@ void RunSweep(const std::string& title, const TrainedContext& context,
                                      .BuildUnchecked();
       const Status status = layer->SetReuseConfig(config);
       ADR_CHECK(status.ok()) << status.ToString();
-      layer->ResetStats();
+      layer->ResetReuseStats();
       const double accuracy = EvaluateAccuracy(
           &twin.network, context.dataset, batch_size, eval_samples);
-      const double rc = layer->stats().avg_remaining_ratio;
+      const double rc = layer->GetReuseStats()->avg_remaining_ratio;
       PrintRow({std::to_string(l), std::to_string(h), Fmt(rc),
                 Fmt(accuracy, 3)});
       if (csv != nullptr) {

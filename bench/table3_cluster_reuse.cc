@@ -127,7 +127,7 @@ void Main() {
   for (int b = 1; b <= 20; ++b) {
     loader.Next(&batch);
     twin.network.Forward(batch.images, /*training=*/false);
-    const double r = layer->stats().last_batch_reuse_rate;
+    const double r = layer->GetReuseStats()->last_batch_reuse_rate;
     PrintRow({std::to_string(b), Fmt(r, 3)});
     rate_csv.WriteRow(std::vector<double>{static_cast<double>(b), r});
     growth.counters.emplace_back("r_batch_" + std::to_string(b), r);

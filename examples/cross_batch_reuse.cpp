@@ -90,11 +90,11 @@ int main(int argc, char** argv) {
     loader.Next(&batch);
     layer.Forward(batch.images, /*training=*/false);
     std::printf("%-7d %-12.3f %-14lld %-12lld %-14.1f %.1f%%\n", b,
-                layer.stats().last_batch_reuse_rate,
+                layer.GetReuseStats()->last_batch_reuse_rate,
                 static_cast<long long>(layer.cache()->TotalEntries()),
                 static_cast<long long>(layer.cache()->evictions()),
                 static_cast<double>(layer.cache()->ResidentBytes()) / 1024.0,
-                layer.stats().MacsSavedFraction() * 100.0);
+                layer.GetReuseStats()->MacsSavedFraction() * 100.0);
   }
   std::printf(
       "\nCumulative cluster reuse rate: %.3f (paper reports R -> ~0.98 "

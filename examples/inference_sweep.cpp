@@ -92,13 +92,13 @@ int main(int argc, char** argv) {
           ReuseConfigBuilder().SubVectorLength(l).NumHashes(h).Build(k);
       if (!config.ok()) continue;
       if (!layer->SetReuseConfig(*config).ok()) continue;
-      layer->ResetStats();
+      layer->ResetReuseStats();
       const double accuracy =
           EvaluateAccuracy(&twin->network, *dataset, 16, 128);
       std::printf("%-8lld %-6d %-10.4f %-10.3f %-11.1f%%\n",
                   static_cast<long long>(l), h,
-                  layer->stats().avg_remaining_ratio, accuracy,
-                  layer->stats().MacsSavedFraction() * 100.0);
+                  layer->GetReuseStats()->avg_remaining_ratio, accuracy,
+                  layer->GetReuseStats()->MacsSavedFraction() * 100.0);
     }
   }
   std::printf(

@@ -13,7 +13,6 @@
 #ifndef ADR_ADR_H_
 #define ADR_ADR_H_
 
-#include "clustering/cluster_stats.h"
 #include "clustering/exact_dedup.h"
 #include "clustering/kmeans.h"
 #include "clustering/lsh.h"

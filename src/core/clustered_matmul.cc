@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "clustering/kmeans.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
@@ -30,12 +29,12 @@ void ScatterClusterOutputs(const float* yc, const Clustering& clustering,
   });
 }
 
-// The back half of every clustered forward (LSH and k-means): given a
-// finished clustering, consult the cross-batch cache when there is one,
-// run one GEMM over the missed centroids per block (gathered compactly
-// when some clusters hit), scatter the cluster outputs to the member rows,
-// and add the bias. `y` (num_rows x m) is overwritten; transient buffers
-// bump from `scratch`. Fills every field of `stats` but the two timings.
+// The back half of the clustered forward: given a finished clustering,
+// consult the cross-batch cache when there is one, run one GEMM over the
+// missed centroids per block (gathered compactly when some clusters hit),
+// scatter the cluster outputs to the member rows, and add the bias. `y`
+// (num_rows x m) is overwritten; transient buffers bump from `scratch`.
+// Fills every field of `stats` but the two timings.
 void FinishForwardFromClustering(ReuseClustering* clustering,
                                  const Tensor& weight, const Tensor* bias,
                                  ClusterReuseCache* cache, int num_hashes,
@@ -225,72 +224,6 @@ ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
   ClusteredForward(families, ForwardRows::Matrix(x, num_rows), weight, bias,
                    rows_per_group, cache, /*arena=*/nullptr, &clusterer,
                    result.y_rows.data(), &result.clustering, &result.stats);
-  return result;
-}
-
-ForwardReuseResult KMeansMatmulForward(
-    const float* x, int64_t num_rows, int64_t k, int64_t sub_vector_length,
-    const Tensor& weight, const Tensor* bias, int64_t rows_per_group,
-    int64_t clusters_per_group, int iterations, uint64_t seed) {
-  ADR_CHECK_EQ(weight.shape().rank(), 2);
-  ADR_CHECK_EQ(weight.shape()[0], k);
-  ADR_CHECK_GT(num_rows, 0);
-  ADR_CHECK_EQ(num_rows % rows_per_group, 0);
-  const int64_t m = weight.shape()[1];
-  const int64_t length =
-      sub_vector_length <= 0 || sub_vector_length > k ? k : sub_vector_length;
-
-  ADR_TRACE_SPAN("KMeansMatmulForward");
-  ForwardReuseResult result;
-  Timer timer;
-  result.clustering.num_rows = num_rows;
-  result.clustering.num_cols = k;
-
-  for (int64_t offset = 0; offset < k; offset += length) {
-    SubMatrixClustering block;
-    block.col_offset = offset;
-    block.length = std::min(length, k - offset);
-
-    Clustering& merged = block.clustering;
-    merged.assignment.resize(static_cast<size_t>(num_rows));
-    for (int64_t group_start = 0; group_start < num_rows;
-         group_start += rows_per_group) {
-      KMeansOptions options;
-      options.num_clusters = std::min(clusters_per_group, rows_per_group);
-      options.max_iterations = iterations;
-      options.seed = seed + static_cast<uint64_t>(offset * 1315423911 +
-                                                  group_start);
-      const Result<KMeansResult> kmeans =
-          KMeans(x + group_start * k + offset, rows_per_group, block.length,
-                 k, options);
-      ADR_CHECK(kmeans.ok()) << kmeans.status().ToString();
-      const int32_t id_offset =
-          static_cast<int32_t>(merged.cluster_sizes.size());
-      for (int64_t i = 0; i < rows_per_group; ++i) {
-        merged.assignment[static_cast<size_t>(group_start + i)] =
-            id_offset + kmeans->clustering.assignment[static_cast<size_t>(i)];
-      }
-      merged.cluster_sizes.insert(merged.cluster_sizes.end(),
-                                  kmeans->clustering.cluster_sizes.begin(),
-                                  kmeans->clustering.cluster_sizes.end());
-    }
-    // Recompute centroids over the merged assignment from the raw data
-    // (k-means already converged, but this keeps one code path).
-    block.centroids = ComputeCentroids(x + offset, num_rows, block.length,
-                                       k, merged);
-    block.reused_from_cache.assign(
-        static_cast<size_t>(merged.num_clusters()), false);
-    result.clustering.blocks.push_back(std::move(block));
-  }
-  result.stats.hash_seconds = timer.ElapsedSeconds();
-
-  timer.Reset();
-  result.y_rows = Tensor(Shape({num_rows, m}));
-  ScratchAllocator scratch(/*arena=*/nullptr);
-  FinishForwardFromClustering(&result.clustering, weight, bias,
-                              /*cache=*/nullptr, /*num_hashes=*/0, &scratch,
-                              result.y_rows.data(), &result.stats);
-  result.stats.gemm_seconds = timer.ElapsedSeconds();
   return result;
 }
 

@@ -74,15 +74,6 @@ ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
                                           int64_t rows_per_group,
                                           ClusterReuseCache* cache);
 
-/// \brief Same computation with k-means clustering instead of LSH — the
-/// high-quality/slow method of the paper's similarity-verification study
-/// (Fig. 7). `clusters_per_group` is clamped to each group's row count.
-/// No cross-batch cache (k-means has no stable cluster IDs).
-ForwardReuseResult KMeansMatmulForward(
-    const float* x, int64_t num_rows, int64_t k, int64_t sub_vector_length,
-    const Tensor& weight, const Tensor* bias, int64_t rows_per_group,
-    int64_t clusters_per_group, int iterations, uint64_t seed);
-
 }  // namespace adr
 
 #endif  // ADR_CORE_CLUSTERED_MATMUL_H_

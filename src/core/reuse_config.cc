@@ -16,16 +16,6 @@ std::string_view ClusterScopeToString(ClusterScope scope) {
   return "?";
 }
 
-std::string_view ClusteringMethodToString(ClusteringMethod method) {
-  switch (method) {
-    case ClusteringMethod::kLsh:
-      return "lsh";
-    case ClusteringMethod::kKMeans:
-      return "kmeans";
-  }
-  return "?";
-}
-
 Status ReuseConfig::Validate() const {
   if (sub_vector_length < 0) {
     return Status::InvalidArgument("sub_vector_length must be >= 0");
@@ -34,19 +24,6 @@ Status ReuseConfig::Validate() const {
     return Status::InvalidArgument(
         "num_hashes must be in [1, " + std::to_string(kMaxLshHashes) +
         "], got " + std::to_string(num_hashes));
-  }
-  if (method == ClusteringMethod::kKMeans) {
-    if (kmeans_clusters < 1) {
-      return Status::InvalidArgument("kmeans_clusters must be >= 1");
-    }
-    if (kmeans_iterations < 1) {
-      return Status::InvalidArgument("kmeans_iterations must be >= 1");
-    }
-    if (ClusterReuseEnabled()) {
-      return Status::InvalidArgument(
-          "cluster reuse requires the LSH method (signatures are the "
-          "cross-batch cluster IDs)");
-    }
   }
   return Status::OK();
 }
@@ -77,11 +54,7 @@ Result<ReuseConfig> ReuseConfigBuilder::Build(int64_t k) const {
 std::string ReuseConfig::ToString() const {
   std::string out = "{L=";
   out += sub_vector_length <= 0 ? "K" : std::to_string(sub_vector_length);
-  if (method == ClusteringMethod::kKMeans) {
-    out += ", kmeans(|C|=" + std::to_string(kmeans_clusters) + ")";
-  } else {
-    out += ", H=" + std::to_string(num_hashes);
-  }
+  out += ", H=" + std::to_string(num_hashes);
   out += ", CR=" + std::to_string(ClusterReuseEnabled() ? 1 : 0);
   out += ", scope=";
   out += ClusterScopeToString(scope);

@@ -23,17 +23,6 @@ enum class ClusterScope : int {
 
 std::string_view ClusterScopeToString(ClusterScope scope);
 
-/// \brief How neuron vectors are grouped.
-///
-/// The paper's system uses LSH; k-means is the slow, high-quality method
-/// used only for the similarity-verification study (Section VI-A, Fig. 7).
-enum class ClusteringMethod : int {
-  kLsh = 0,
-  kKMeans = 1,
-};
-
-std::string_view ClusteringMethodToString(ClusteringMethod method);
-
 /// \brief Clustering parameters of one reuse-enabled convolutional layer.
 struct ReuseConfig {
   /// When false the layer computes the exact dense convolution (forward
@@ -52,14 +41,6 @@ struct ReuseConfig {
   /// when (L, H, seed) changes, so signatures stay comparable across
   /// batches, as cluster reuse requires.
   uint64_t seed = 7;
-  /// Clustering method (see ClusteringMethod). Cluster reuse requires
-  /// kLsh (signatures are the cross-batch cluster IDs).
-  ClusteringMethod method = ClusteringMethod::kLsh;
-  /// Number of clusters per scope group when method == kKMeans (clamped
-  /// to the group's row count at run time).
-  int64_t kmeans_clusters = 64;
-  /// Lloyd iterations when method == kKMeans.
-  int kmeans_iterations = 10;
 
   /// \brief Effective L for an unfolded matrix with K columns.
   int64_t EffectiveLength(int64_t k) const {
@@ -72,9 +53,8 @@ struct ReuseConfig {
   }
 
   /// \brief Validates every constraint that does not depend on layer
-  /// geometry (hash count range, k-means parameters, method/CR
-  /// compatibility). The single validation path: Validate(k) and every
-  /// construction site build on this.
+  /// geometry (L >= 0, hash count range). The single validation path:
+  /// Validate(k) and every construction site build on this.
   Status Validate() const;
 
   /// \brief Validates against the layer's unfolded width K (everything in
@@ -126,16 +106,6 @@ class ReuseConfigBuilder {
   }
   ReuseConfigBuilder& Seed(uint64_t seed) {
     config_.seed = seed;
-    return *this;
-  }
-  ReuseConfigBuilder& Method(ClusteringMethod method) {
-    config_.method = method;
-    return *this;
-  }
-  ReuseConfigBuilder& KMeans(int64_t clusters, int iterations) {
-    config_.method = ClusteringMethod::kKMeans;
-    config_.kmeans_clusters = clusters;
-    config_.kmeans_iterations = iterations;
     return *this;
   }
 

@@ -1,6 +1,5 @@
 #include "core/reuse_conv2d.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/complexity_model.h"
@@ -137,13 +136,11 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   cached_batch_ = training ? batch : 0;
 
   // The N x K unfolded input exists only where something reads it whole:
-  // the dense GEMM, k-means' iterative passes, and the exact backward
-  // (which keeps it, arena-owned, for Backward). Every other LSH forward
-  // unfolds tile by tile inside ClusteredForward.
-  const bool lsh =
-      reuse_.enabled && reuse_.method == ClusteringMethod::kLsh;
+  // the dense GEMM and the exact backward (which keeps it, arena-owned,
+  // for Backward). Every other forward unfolds tile by tile inside
+  // ClusteredForward.
   float* cols = nullptr;
-  if (!lsh || (training && exact_backward_)) {
+  if (!reuse_.enabled || (training && exact_backward_)) {
     cols = arena_.AllocFloats(n * k);
     ADR_TRACE_SPAN("im2col");
     Timer im2col_timer;
@@ -166,24 +163,13 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
     const int64_t rows_per_group =
         reuse_.scope == ClusterScope::kSingleInput ? geo.rows_per_image()
                                                    : n;
+    const ForwardRows rows = cols != nullptr
+                                 ? ForwardRows::Matrix(cols, n)
+                                 : ForwardRows::Unfold(geo, input.data());
     ReuseClustering clustering;
-    if (lsh) {
-      const ForwardRows rows = cols != nullptr
-                                   ? ForwardRows::Matrix(cols, n)
-                                   : ForwardRows::Unfold(geo, input.data());
-      ClusteredForward(families_, rows, weight_, &bias_, rows_per_group,
-                       cache_.get(), &arena_, &clusterer_, y, &clustering,
-                       &call);
-    } else {
-      ForwardReuseResult forward = KMeansMatmulForward(
-          cols, n, k, reuse_.EffectiveLength(k), weight_, &bias_,
-          rows_per_group, reuse_.kmeans_clusters, reuse_.kmeans_iterations,
-          reuse_.seed);
-      clustering = std::move(forward.clustering);
-      call = forward.stats;
-      std::copy_n(forward.y_rows.data(), n * m, y);
-    }
-
+    ClusteredForward(families_, rows, weight_, &bias_, rows_per_group,
+                     cache_.get(), &arena_, &clusterer_, y, &clustering,
+                     &call);
     if (training) {
       cached_clustering_ = std::move(clustering);
     } else {

@@ -69,12 +69,9 @@ class ReuseConv2d : public Layer {
   /// \brief Copies weights from a baseline Conv2d with identical geometry.
   void CopyWeightsFrom(const Conv2d& baseline);
 
-  const ReuseLayerStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ReuseLayerStats{}; }
-
   // Layer reuse-telemetry hooks (Network::CollectReuseStats).
   const ReuseLayerStats* GetReuseStats() const override { return &stats_; }
-  void ResetReuseStats() override { ResetStats(); }
+  void ResetReuseStats() override { stats_ = ReuseLayerStats{}; }
 
   /// \brief Cluster-reuse cache (present whenever CR is enabled); its
   /// GetStats() is the one source of cache telemetry.
@@ -154,7 +151,7 @@ class ReuseConv2d : public Layer {
   ReuseClustering cached_clustering_;
   /// Arena-owned [N, K] unfolded input, valid until the next Reset();
   /// non-null only after a training Forward that materialized it (reuse
-  /// off, k-means, or exact backward).
+  /// off, or exact backward).
   float* cached_cols_data_ = nullptr;
   int64_t cached_batch_ = 0;
 

@@ -21,7 +21,7 @@ std::string FormatReuseReport(const std::vector<ReuseConv2d*>& layers) {
   out += line;
   ReuseLayerStats total;
   for (const ReuseConv2d* layer : layers) {
-    const ReuseLayerStats& stats = layer->stats();
+    const ReuseLayerStats& stats = *layer->GetReuseStats();
     std::snprintf(line, sizeof(line),
                   "%-10s %-*s %6lld %6lld %8.3f %9.1f%%\n",
                   layer->name().c_str(), config_width,

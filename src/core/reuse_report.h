@@ -12,8 +12,9 @@
 namespace adr {
 
 /// \brief Renders one row per layer (name, config, K, M, r_c, MACs saved)
-/// from its cumulative stats(), plus a total row. The config column is as
-/// wide as the longest config string, so every column lines up.
+/// from its cumulative GetReuseStats(), plus a total row. The config
+/// column is as wide as the longest config string, so every column lines
+/// up.
 std::string FormatReuseReport(const std::vector<ReuseConv2d*>& layers);
 
 }  // namespace adr

@@ -139,9 +139,10 @@ Result<TrainingRunResult> RunTrainingStrategy(
     result.conv_macs_baseline = result.conv_macs_executed;
   } else {
     for (ReuseConv2d* layer : model.reuse_layers) {
-      result.conv_macs_executed += layer->stats().macs_executed;
-      result.conv_macs_baseline += layer->stats().macs_baseline;
-      result.final_reuse_rate = layer->stats().last_batch_reuse_rate;
+      const ReuseLayerStats& stats = *layer->GetReuseStats();
+      result.conv_macs_executed += stats.macs_executed;
+      result.conv_macs_baseline += stats.macs_baseline;
+      result.final_reuse_rate = stats.last_batch_reuse_rate;
     }
   }
 

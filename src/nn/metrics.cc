@@ -4,7 +4,6 @@
 
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
-#include "util/csv_writer.h"
 
 namespace adr {
 
@@ -97,21 +96,6 @@ double TrainingHistory::BestEvalAccuracy() const {
     best = std::max(best, entry.eval_accuracy);
   }
   return best;
-}
-
-Status TrainingHistory::WriteCsv(const std::string& path) const {
-  CsvWriter writer;
-  ADR_RETURN_NOT_OK(CsvWriter::Open(
-      path, {"step", "loss", "train_accuracy", "eval_accuracy",
-             "learning_rate", "seconds"},
-      &writer));
-  for (const Entry& entry : entries_) {
-    ADR_RETURN_NOT_OK(writer.WriteRow(std::vector<double>{
-        static_cast<double>(entry.step), entry.loss, entry.train_accuracy,
-        entry.eval_accuracy, entry.learning_rate, entry.seconds_elapsed}));
-  }
-  writer.Close();
-  return Status::OK();
 }
 
 }  // namespace adr

@@ -4,11 +4,9 @@
 #define ADR_NN_METRICS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
-#include "util/status.h"
 
 namespace adr {
 
@@ -65,9 +63,6 @@ class TrainingHistory {
 
   /// \brief Best eval accuracy observed, or -1 when none recorded.
   double BestEvalAccuracy() const;
-
-  /// \brief Writes step,loss,train_acc,eval_acc,lr,seconds rows.
-  Status WriteCsv(const std::string& path) const;
 
  private:
   std::vector<Entry> entries_;

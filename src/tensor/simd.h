@@ -1,8 +1,8 @@
 // Portable SIMD kernel layer for the reuse hot paths.
 //
 // Every dense inner loop the library spends its time in (the GEMM
-// microkernel, the LSH project-and-sign kernel, row normalization, the
-// cluster gather/scatter adds and the backward sum/average reductions)
+// microkernel, the LSH project-and-sign kernel, the cluster
+// gather/scatter adds and the backward sum/average reductions)
 // funnels through the small table of primitives below. The table has one
 // implementation per instruction set:
 //
@@ -55,8 +55,6 @@ struct Kernels {
   const char* name = "scalar";  ///< "scalar", "avx2" or "neon"
   int width = 1;                ///< float lanes per vector register
 
-  /// sum_i a[i]^2
-  float (*squared_norm)(const float* a, int64_t n);
   /// y[i] += x[i]
   void (*add)(const float* x, float* y, int64_t n);
   /// y[i] = x[i]; bitwise-exact on every backend (the cluster-cache

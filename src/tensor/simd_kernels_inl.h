@@ -8,8 +8,8 @@
 //   using Reg            — the vector register type (float for scalar);
 //   static constexpr int kWidth — float lanes per register;
 //   Zero(), Load(p), Store(p, v), Broadcast(s), Add(a, b), Mul(a, b),
-//   Fma(a, b, acc) = a * b + acc, ReduceAdd(v), and PositiveMask(v): bit j
-//   set iff lane j is > 0 (false for NaN).
+//   Fma(a, b, acc) = a * b + acc, and PositiveMask(v): bit j set iff
+//   lane j is > 0 (false for NaN).
 //
 // Remainder lanes (n not a multiple of kWidth) run in scalar tail loops;
 // the golden harness sweeps such shapes explicitly.
@@ -41,7 +41,6 @@ struct ScalarOps {
   static Reg Add(Reg a, Reg b) { return a + b; }
   static Reg Mul(Reg a, Reg b) { return a * b; }
   static Reg Fma(Reg a, Reg b, Reg acc) { return a * b + acc; }
-  static float ReduceAdd(Reg v) { return v; }
   static uint32_t PositiveMask(Reg v) { return v > 0.0f ? 1u : 0u; }
 };
 
@@ -56,15 +55,6 @@ struct Avx2Ops {
   static Reg Add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
   static Reg Mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
   static Reg Fma(Reg a, Reg b, Reg acc) { return _mm256_fmadd_ps(a, b, acc); }
-  static float ReduceAdd(Reg v) {
-    // (lo + hi) then pairwise: a fixed, shape-independent reduction tree.
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    __m128 sum = _mm_add_ps(lo, hi);
-    sum = _mm_add_ps(sum, _mm_movehl_ps(sum, sum));
-    sum = _mm_add_ss(sum, _mm_shuffle_ps(sum, sum, 0x1));
-    return _mm_cvtss_f32(sum);
-  }
   static uint32_t PositiveMask(Reg v) {
     return static_cast<uint32_t>(_mm256_movemask_ps(
         _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ)));
@@ -83,7 +73,6 @@ struct NeonOps {
   static Reg Add(Reg a, Reg b) { return vaddq_f32(a, b); }
   static Reg Mul(Reg a, Reg b) { return vmulq_f32(a, b); }
   static Reg Fma(Reg a, Reg b, Reg acc) { return vfmaq_f32(acc, a, b); }
-  static float ReduceAdd(Reg v) { return vaddvq_f32(v); }
   static uint32_t PositiveMask(Reg v) {
     static const uint32_t kLaneBits[4] = {1, 2, 4, 8};
     return vaddvq_u32(
@@ -91,29 +80,6 @@ struct NeonOps {
   }
 };
 #endif  // __ARM_NEON
-
-template <typename Ops>
-float SquaredNormImpl(const float* a, int64_t n) {
-  using Reg = typename Ops::Reg;
-  constexpr int64_t kW = Ops::kWidth;
-  Reg acc0 = Ops::Zero();
-  Reg acc1 = Ops::Zero();
-  int64_t i = 0;
-  for (; i + 2 * kW <= n; i += 2 * kW) {
-    const Reg v0 = Ops::Load(a + i);
-    const Reg v1 = Ops::Load(a + i + kW);
-    acc0 = Ops::Fma(v0, v0, acc0);
-    acc1 = Ops::Fma(v1, v1, acc1);
-  }
-  if (i + kW <= n) {
-    const Reg v = Ops::Load(a + i);
-    acc0 = Ops::Fma(v, v, acc0);
-    i += kW;
-  }
-  float sum = Ops::ReduceAdd(Ops::Add(acc0, acc1));
-  for (; i < n; ++i) sum += a[i] * a[i];
-  return sum;
-}
 
 template <typename Ops>
 void AddImpl(const float* x, float* y, int64_t n) {
@@ -409,7 +375,6 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.isa = isa;
   kernels.name = name;
   kernels.width = Ops::kWidth;
-  kernels.squared_norm = &SquaredNormImpl<Ops>;
   kernels.add = &AddImpl<Ops>;
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;

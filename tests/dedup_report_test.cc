@@ -109,7 +109,7 @@ TEST(ReuseReportTest, CollectsAndFormats) {
   for (int i = 0; i < 2; ++i) {
     char rc[16];
     std::snprintf(rc, sizeof(rc), "%8.3f",
-                  layers[i]->stats().avg_remaining_ratio);
+                  layers[i]->GetReuseStats()->avg_remaining_ratio);
     ASSERT_GE(lines[1 + i].size(), rc_end);
     EXPECT_EQ(lines[1 + i].substr(rc_end - 8, 8), rc) << lines[1 + i];
   }
@@ -118,10 +118,10 @@ TEST(ReuseReportTest, CollectsAndFormats) {
     EXPECT_EQ(line.size(), lines[0].size()) << line;
   }
   // The total is over both layers' MACs.
-  const double executed =
-      layer1.stats().macs_executed + layer2.stats().macs_executed;
-  const double baseline =
-      layer1.stats().macs_baseline + layer2.stats().macs_baseline;
+  const ReuseLayerStats& stats1 = *layer1.GetReuseStats();
+  const ReuseLayerStats& stats2 = *layer2.GetReuseStats();
+  const double executed = stats1.macs_executed + stats2.macs_executed;
+  const double baseline = stats1.macs_baseline + stats2.macs_baseline;
   char total[16];
   std::snprintf(total, sizeof(total), "%9.1f%%",
                 (1.0 - executed / baseline) * 100.0);
@@ -137,8 +137,8 @@ TEST(ReuseReportTest, ResetStatsClearsAll) {
   Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
   layer.Forward(in, true);
   layer.ResetReuseStats();
-  EXPECT_EQ(layer.stats().forward_calls, 0);
-  EXPECT_EQ(layer.stats().macs_baseline, 0.0);
+  EXPECT_EQ(layer.GetReuseStats()->forward_calls, 0);
+  EXPECT_EQ(layer.GetReuseStats()->macs_baseline, 0.0);
 }
 
 }  // namespace

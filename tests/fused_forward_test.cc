@@ -4,7 +4,8 @@
 // ReferenceForward (tests/clustered_forward_reference.h): same
 // signatures, clusterings, hit decisions and outputs. Checked at every
 // compiled SIMD backend and thread count, with and without the
-// cluster-reuse cache, across tile/group boundary misalignment, with
+// cluster-reuse cache, across tile/group boundary misalignment, on
+// degenerate shapes (N = 1, L = K, H at the sign-word boundary), with
 // recycled buffers, and through ReuseConv2d.
 
 #include <gtest/gtest.h>
@@ -185,6 +186,57 @@ TEST(FusedForwardTest, MatchesMaterializedAcrossBackendsAndThreads) {
       ThreadPool::SetGlobalThreads(threads);
       ExpectDriverMatchesReference(*families, geo, input, weight, bias,
                                      /*rows_per_group=*/n, nullptr);
+    }
+  }
+}
+
+TEST(FusedForwardTest, MatchesReferenceOnDegenerateShapes) {
+  ThreadCountGuard guard;
+  struct Case {
+    const char* name;
+    ConvGeometry geo;
+    int64_t l;
+    int h;
+  };
+  // One image whose 3x3 input meets a 3x3 kernel without padding: N = 1.
+  ConvGeometry single_row = SingleTileGeometry(1);
+  single_row.in_height = 3;
+  single_row.in_width = 3;
+  single_row.pad = 0;
+  ASSERT_EQ(single_row.unfolded_rows(), 1);
+  const ConvGeometry small = SingleTileGeometry(2);  // K = 27
+  const Case cases[] = {
+      {"N=1", single_row, 9, 8},
+      // L = K: one block, K mod 8 = 3, so every hyperplane row is padded.
+      {"L=K=27", small, 27, 12},
+      // H = 64 fills the first sign word exactly; 65 spills one bit into
+      // the second; 128 fills both.
+      {"H=64", small, 9, 64},
+      {"H=65", small, 9, 65},
+      {"H=128", small, 9, 128},
+  };
+  for (const Case& c : cases) {
+    const int64_t n = c.geo.unfolded_rows();
+    const int64_t k = c.geo.unfolded_cols();
+    ASSERT_EQ(k, 27) << c.name;
+    Rng rng(16);
+    const Tensor input = Tensor::RandomGaussian(
+        Shape({c.geo.batch, c.geo.in_channels, c.geo.in_height,
+               c.geo.in_width}),
+        &rng);
+    const Tensor weight = Tensor::RandomGaussian(Shape({k, 5}), &rng);
+    const Tensor bias = Tensor::RandomGaussian(Shape({5}), &rng);
+    auto families = BlockLshFamilies::Create(k, c.l, c.h, 10);
+    ASSERT_TRUE(families.ok()) << c.name;
+    for (const simd::Kernels* backend : Backends()) {
+      simd::ScopedKernelsOverride override_backend(*backend);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(c.name) + " " + backend->name +
+                     " threads=" + std::to_string(threads));
+        ThreadPool::SetGlobalThreads(threads);
+        ExpectDriverMatchesReference(*families, c.geo, input, weight, bias,
+                                     /*rows_per_group=*/n, nullptr);
+      }
     }
   }
 }

@@ -19,7 +19,6 @@
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
 #include "clustering/lsh.h"
-#include "clustering/normalize.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
@@ -36,7 +35,6 @@ using testutil::Backends;
 using testutil::RandomVector;
 using testutil::ReductionTolerance;
 using testutil::RefGemm;
-using testutil::RefSquaredNorm;
 using testutil::RemainderSizes;
 
 TEST(GoldenKernels, AtLeastScalarIsAvailable) {
@@ -47,18 +45,6 @@ TEST(GoldenKernels, AtLeastScalarIsAvailable) {
   for (const simd::Kernels* backend : Backends()) {
     EXPECT_GE(backend->width, 1) << backend->name;
     EXPECT_NE(backend->name, nullptr);
-  }
-}
-
-TEST(GoldenKernels, SquaredNormMatchesDoubleReference) {
-  for (const simd::Kernels* backend : Backends()) {
-    for (const int64_t n : RemainderSizes()) {
-      const std::vector<float> a = RandomVector(n, 300 + n);
-      const double expected = RefSquaredNorm(a.data(), n);
-      const double tolerance = ReductionTolerance(expected, n);
-      EXPECT_NEAR(backend->squared_norm(a.data(), n), expected, tolerance)
-          << backend->name << " n=" << n;
-    }
   }
 }
 
@@ -478,50 +464,6 @@ TEST(GoldenKernels, ProjectSignsKeepGemmBlockOrder) {
   }
 }
 
-TEST(GoldenKernels, NormalizeRowsMatchesDoubleReference) {
-  for (const simd::Kernels* backend : Backends()) {
-    simd::ScopedKernelsOverride override_backend(*backend);
-    for (const int64_t dim : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{17},
-                              int64_t{33}, int64_t{100}}) {
-      const int64_t rows = 5;
-      const int64_t stride = dim + 2;
-      std::vector<float> data = RandomVector(rows * stride, 5000 + dim);
-      // Row 2 is exactly zero: must stay untouched.
-      for (int64_t j = 0; j < dim; ++j) data[static_cast<size_t>(2 * stride + j)] = 0.0f;
-      std::vector<float> original = data;
-      NormalizeRowsInPlace(data.data(), rows, dim, stride);
-      for (int64_t i = 0; i < rows; ++i) {
-        double norm = 0.0;
-        for (int64_t j = 0; j < dim; ++j) {
-          const double v = original[static_cast<size_t>(i * stride + j)];
-          norm += v * v;
-        }
-        norm = std::sqrt(norm);
-        for (int64_t j = 0; j < dim; ++j) {
-          const float got = data[static_cast<size_t>(i * stride + j)];
-          const float before = original[static_cast<size_t>(i * stride + j)];
-          if (i == 2) {
-            EXPECT_EQ(got, before) << backend->name << " zero row, j=" << j;
-          } else {
-            EXPECT_NEAR(got, before / norm, 1e-5)
-                << backend->name << " dim=" << dim << " row=" << i
-                << " j=" << j;
-          }
-        }
-        // Stride padding untouched.
-        for (int64_t j = dim; j < stride; ++j) {
-          EXPECT_EQ(data[static_cast<size_t>(i * stride + j)],
-                    original[static_cast<size_t>(i * stride + j)])
-              << backend->name << " padding";
-        }
-      }
-    }
-  }
-}
-
-// The clustered forward (hash + centroid GEMM + gather/scatter) and the
-// reuse backward (per-cluster sum/average reductions + scatter) compared
-// across backends: clustering must be identical, tensors within tolerance.
 TEST(GoldenKernels, ClusteredMatmulAndBackwardScalarVsSimd) {
   const int64_t n = 40, k = 20, m = 6, l = 7;  // blocks of length 7, 7, 6
   Rng rng(31);

@@ -79,7 +79,7 @@ TEST(IntegrationTest, ReuseCifarNetLearnsEasyTask) {
   EXPECT_GT(TrainAndEvaluate(&*model, dataset, 150), 0.85);
   // And it actually reused computation while doing so.
   for (ReuseConv2d* layer : model->reuse_layers) {
-    EXPECT_GT(layer->stats().MacsSavedFraction(), 0.1);
+    EXPECT_GT(layer->GetReuseStats()->MacsSavedFraction(), 0.1);
   }
 }
 

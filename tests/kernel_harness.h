@@ -4,11 +4,11 @@
 //
 // Tolerance policy. Elementwise kernels (add, scale, copy) must match the
 // scalar expression bitwise — vector lanes perform the identical single
-// operation. Reductions (squared_norm, gemm) regroup the
-// accumulation order across lanes, so they are compared against a
-// double-precision reference with an error budget proportional to
-// eps * sum_i |a_i| * |b_i| — the standard forward error bound of
-// floating-point summation — times a generous constant.
+// operation. Reductions (gemm) regroup the accumulation order across
+// lanes, so they are compared against a double-precision reference with
+// an error budget proportional to eps * sum_i |a_i| * |b_i| — the standard
+// forward error bound of floating-point summation — times a generous
+// constant.
 
 #ifndef ADR_TESTS_KERNEL_HARNESS_H_
 #define ADR_TESTS_KERNEL_HARNESS_H_
@@ -51,18 +51,6 @@ inline std::vector<float> RandomVector(int64_t n, uint64_t seed) {
 }
 
 // --- double-precision references -----------------------------------------
-
-inline double RefDot(const float* a, const float* b, int64_t n) {
-  double sum = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    sum += static_cast<double>(a[i]) * b[i];
-  }
-  return sum;
-}
-
-inline double RefSquaredNorm(const float* a, int64_t n) {
-  return RefDot(a, a, n);
-}
 
 /// Reduction tolerance: c * n * eps * sum|a_i b_i|, floored to absorb
 /// double-vs-float representation noise. c = 8 is far above the lane

@@ -127,8 +127,8 @@ TEST_P(ReuseShapeSweep, ForwardBackwardShapesHold) {
   EXPECT_TRUE(AllClose(*layer.Gradients()[1], ColumnSums(dy_rows), 1e-4f,
                        1e-5f));
   // r_c bounded.
-  EXPECT_GT(layer.stats().avg_remaining_ratio, 0.0);
-  EXPECT_LE(layer.stats().avg_remaining_ratio, 1.0);
+  EXPECT_GT(layer.GetReuseStats()->avg_remaining_ratio, 0.0);
+  EXPECT_LE(layer.GetReuseStats()->avg_remaining_ratio, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,8 +1,5 @@
 // Tests for ConfusionMatrix, TrainingHistory and the LR schedules.
 
-#include <cstdio>
-#include <fstream>
-
 #include <gtest/gtest.h>
 
 #include "nn/lr_schedule.h"
@@ -80,24 +77,6 @@ TEST(TrainingHistoryTest, EmptyHistoryDefaults) {
   TrainingHistory history;
   EXPECT_EQ(history.RecentMeanLoss(5), 0.0);
   EXPECT_EQ(history.BestEvalAccuracy(), -1.0);
-}
-
-TEST(TrainingHistoryTest, CsvExport) {
-  TrainingHistory history;
-  TrainingHistory::Entry entry;
-  entry.step = 3;
-  entry.loss = 0.5;
-  entry.train_accuracy = 0.75;
-  history.Record(entry);
-  const std::string path = testing::TempDir() + "/history.csv";
-  ASSERT_TRUE(history.WriteCsv(path).ok());
-  std::ifstream in(path);
-  std::string header, row;
-  std::getline(in, header);
-  std::getline(in, row);
-  EXPECT_NE(header.find("loss"), std::string::npos);
-  EXPECT_NE(row.find("0.5"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(LrScheduleTest, ConstantIsConstant) {

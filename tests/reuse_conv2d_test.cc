@@ -96,7 +96,7 @@ TEST(ReuseConv2dTest, SingletonClusteringIsExactDifferential) {
   Tensor reuse_gin = reuse.Backward(grad_out);
 
   // Gaussian rows essentially never collide under 128 hyperplanes.
-  EXPECT_GT(reuse.stats().avg_remaining_ratio, 0.999);
+  EXPECT_GT(reuse.GetReuseStats()->avg_remaining_ratio, 0.999);
   EXPECT_LT(MaxAbsDiff(actual, baseline.Forward(in, false)), 1e-4f);
   EXPECT_LT(MaxAbsDiff(reuse_gin, exact_gin), 1e-4f);
   EXPECT_LT(MaxAbsDiff(*reuse.Gradients()[0], *baseline.Gradients()[0]),
@@ -177,15 +177,6 @@ TEST(ReuseConv2dTest, SetReuseConfigValidates) {
 TEST(ReuseConv2dTest, ReuseConfigBuilderValidates) {
   // Build() catches geometry-independent errors.
   EXPECT_FALSE(ReuseConfigBuilder().NumHashes(0).Build().ok());
-  EXPECT_FALSE(ReuseConfigBuilder()
-                   .KMeans(/*clusters=*/0, /*iterations=*/5)
-                   .Build()
-                   .ok());
-  EXPECT_FALSE(ReuseConfigBuilder()
-                   .KMeans(/*clusters=*/16, /*iterations=*/5)
-                   .ClusterReuse(true)
-                   .Build()
-                   .ok());
   // Build(k) additionally checks L against K.
   EXPECT_TRUE(ReuseConfigBuilder().SubVectorLength(100).Build().ok());
   EXPECT_FALSE(ReuseConfigBuilder().SubVectorLength(100).Build(18).ok());
@@ -214,15 +205,15 @@ TEST(ReuseConv2dTest, ConfigChangeTakesEffect) {
   Rng data_rng(9);
   Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
   layer.Forward(in, true);
-  const double precise_rc = layer.stats().avg_remaining_ratio;
+  const double precise_rc = layer.GetReuseStats()->avg_remaining_ratio;
 
   ReuseConfig coarse;
   coarse.sub_vector_length = 0;
   coarse.num_hashes = 2;
   ASSERT_TRUE(layer.SetReuseConfig(coarse).ok());
-  layer.ResetStats();
+  layer.ResetReuseStats();
   layer.Forward(in, true);
-  EXPECT_LT(layer.stats().avg_remaining_ratio, precise_rc);
+  EXPECT_LT(layer.GetReuseStats()->avg_remaining_ratio, precise_rc);
 }
 
 TEST(ReuseConv2dTest, ClusterReuseCacheAcrossBatches) {
@@ -237,12 +228,12 @@ TEST(ReuseConv2dTest, ClusterReuseCacheAcrossBatches) {
   Rng data_rng(11);
   Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
   layer.Forward(in, true);
-  EXPECT_DOUBLE_EQ(layer.stats().last_batch_reuse_rate, 0.0);
+  EXPECT_DOUBLE_EQ(layer.GetReuseStats()->last_batch_reuse_rate, 0.0);
   layer.Forward(in, true);  // identical batch: full reuse
-  EXPECT_DOUBLE_EQ(layer.stats().last_batch_reuse_rate, 1.0);
+  EXPECT_DOUBLE_EQ(layer.GetReuseStats()->last_batch_reuse_rate, 1.0);
   layer.ClearCache();
   layer.Forward(in, true);
-  EXPECT_DOUBLE_EQ(layer.stats().last_batch_reuse_rate, 0.0);
+  EXPECT_DOUBLE_EQ(layer.GetReuseStats()->last_batch_reuse_rate, 0.0);
 }
 
 TEST(ReuseConv2dTest, ClearCacheKeepsPublishedCountersMonotonic) {
@@ -289,8 +280,8 @@ TEST(ReuseConv2dTest, ClearCacheKeepsPublishedCountersMonotonic) {
                 metrics.counter(prefix + "cache_misses")->value(),
             lookups_before + lookups_after);
   EXPECT_EQ(metrics.counter(prefix + "forward_calls")->value(),
-            layer.stats().forward_calls);
-  EXPECT_EQ(layer.stats().forward_calls, k + j);
+            layer.GetReuseStats()->forward_calls);
+  EXPECT_EQ(layer.GetReuseStats()->forward_calls, k + j);
   EXPECT_EQ(metrics.histogram(prefix + "backward_seconds")->count(), k + j);
 }
 
@@ -326,12 +317,12 @@ TEST(ReuseConv2dTest, StatsAccumulateAndReset) {
   Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
   layer.Forward(in, true);
   layer.Forward(in, true);
-  EXPECT_EQ(layer.stats().forward_calls, 2);
-  EXPECT_GT(layer.stats().macs_baseline, 0.0);
-  EXPECT_GT(layer.stats().macs_executed, 0.0);
-  layer.ResetStats();
-  EXPECT_EQ(layer.stats().forward_calls, 0);
-  EXPECT_EQ(layer.stats().macs_baseline, 0.0);
+  EXPECT_EQ(layer.GetReuseStats()->forward_calls, 2);
+  EXPECT_GT(layer.GetReuseStats()->macs_baseline, 0.0);
+  EXPECT_GT(layer.GetReuseStats()->macs_executed, 0.0);
+  layer.ResetReuseStats();
+  EXPECT_EQ(layer.GetReuseStats()->forward_calls, 0);
+  EXPECT_EQ(layer.GetReuseStats()->macs_baseline, 0.0);
 }
 
 TEST(ReuseConv2dTest, CoarseClusteringSavesMacs) {
@@ -349,7 +340,7 @@ TEST(ReuseConv2dTest, CoarseClusteringSavesMacs) {
   layer.Forward(in, true);
   Tensor grad = Tensor::Ones(Shape({2, 4, 6, 6}));
   layer.Backward(grad);
-  EXPECT_GT(layer.stats().MacsSavedFraction(), 0.0);
+  EXPECT_GT(layer.GetReuseStats()->MacsSavedFraction(), 0.0);
 }
 
 TEST(ReuseConv2dTest, ForwardMacsMatchesConv2d) {

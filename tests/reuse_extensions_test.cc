@@ -1,5 +1,5 @@
-// Tests for the reuse extensions: the per-layer enabled switch, the
-// k-means clustering mode, and the controller's exact landing stage.
+// Tests for the reuse extensions: the per-layer enabled switch and the
+// controller's exact landing stage.
 
 #include <gtest/gtest.h>
 
@@ -69,12 +69,12 @@ TEST(ReuseDisabledTest, MacsCountedAsBaseline) {
   Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
   layer.Forward(in, true);
   layer.Forward(in, true);
-  EXPECT_DOUBLE_EQ(layer.stats().macs_executed,
-                   layer.stats().macs_baseline);
-  EXPECT_DOUBLE_EQ(layer.stats().MacsSavedFraction(), 0.0);
+  EXPECT_DOUBLE_EQ(layer.GetReuseStats()->macs_executed,
+                   layer.GetReuseStats()->macs_baseline);
+  EXPECT_DOUBLE_EQ(layer.GetReuseStats()->MacsSavedFraction(), 0.0);
   // A dense forward keeps every row: r_c = 1, not 0.
-  EXPECT_EQ(layer.stats().forward_calls, 2);
-  EXPECT_DOUBLE_EQ(layer.stats().avg_remaining_ratio, 1.0);
+  EXPECT_EQ(layer.GetReuseStats()->forward_calls, 2);
+  EXPECT_DOUBLE_EQ(layer.GetReuseStats()->avg_remaining_ratio, 1.0);
 
   // Dense -> LSH: the running mean weighs the two dense calls at r_c = 1
   // against the LSH call's own r_c (read off a twin layer with the same
@@ -84,66 +84,13 @@ TEST(ReuseDisabledTest, MacsCountedAsBaseline) {
   Rng twin_rng(5);
   ReuseConv2d twin("conv", SmallConv(), on, &twin_rng);
   twin.Forward(in, true);
-  const double lsh_rc = twin.stats().avg_remaining_ratio;
+  const double lsh_rc = twin.GetReuseStats()->avg_remaining_ratio;
   ASSERT_LT(lsh_rc, 1.0);
   ASSERT_TRUE(layer.SetReuseConfig(on).ok());
   layer.Forward(in, true);
-  EXPECT_EQ(layer.stats().forward_calls, 3);
-  EXPECT_DOUBLE_EQ(layer.stats().avg_remaining_ratio, (2.0 + lsh_rc) / 3.0);
-}
-
-TEST(ReuseKMeansTest, RunsAndApproximatesDense) {
-  Rng rng1(7), rng2(7);
-  Conv2d dense("conv", SmallConv(), &rng1);
-  ReuseConfig kmeans;
-  kmeans.method = ClusteringMethod::kKMeans;
-  kmeans.kmeans_clusters = 1000000;  // clamped to rows => exact
-  kmeans.kmeans_iterations = 3;
-  ReuseConv2d reuse("conv_r", SmallConv(), kmeans, &rng2);
-  reuse.CopyWeightsFrom(dense);
-
-  Rng data_rng(8);
-  Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
-  Tensor expected = dense.Forward(in, false);
-  Tensor actual = reuse.Forward(in, false);
-  // Clamped to one cluster per row: exact reconstruction.
-  EXPECT_LT(MaxAbsDiff(actual, expected), 1e-4f);
-}
-
-TEST(ReuseKMeansTest, FewClustersCoarsens) {
-  Rng rng(9);
-  ReuseConfig kmeans;
-  kmeans.method = ClusteringMethod::kKMeans;
-  kmeans.kmeans_clusters = 2;
-  ReuseConv2d layer("conv", SmallConv(), kmeans, &rng);
-  Rng data_rng(10);
-  Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
-  layer.Forward(in, true);
-  // 36 rows in 2 clusters: r_c = 2/36.
-  EXPECT_NEAR(layer.stats().avg_remaining_ratio, 2.0 / 36.0, 1e-9);
-}
-
-TEST(ReuseKMeansTest, ValidationRules) {
-  ReuseConfig config;
-  config.method = ClusteringMethod::kKMeans;
-  config.kmeans_clusters = 0;
-  EXPECT_FALSE(config.Validate(100).ok());
-  config.kmeans_clusters = 8;
-  config.kmeans_iterations = 0;
-  EXPECT_FALSE(config.Validate(100).ok());
-  config.kmeans_iterations = 5;
-  EXPECT_TRUE(config.Validate(100).ok());
-  config.cluster_reuse = true;  // CR needs LSH signatures
-  EXPECT_FALSE(config.Validate(100).ok());
-}
-
-TEST(ReuseConfigTest, MethodToString) {
-  EXPECT_EQ(ClusteringMethodToString(ClusteringMethod::kLsh), "lsh");
-  EXPECT_EQ(ClusteringMethodToString(ClusteringMethod::kKMeans), "kmeans");
-  ReuseConfig config;
-  config.method = ClusteringMethod::kKMeans;
-  config.kmeans_clusters = 32;
-  EXPECT_NE(config.ToString().find("kmeans(|C|=32)"), std::string::npos);
+  EXPECT_EQ(layer.GetReuseStats()->forward_calls, 3);
+  EXPECT_DOUBLE_EQ(layer.GetReuseStats()->avg_remaining_ratio,
+                   (2.0 + lsh_rc) / 3.0);
 }
 
 std::unique_ptr<ReuseConv2d> MakeLayer(Rng* rng) {

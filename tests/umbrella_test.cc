@@ -35,7 +35,7 @@ TEST(UmbrellaTest, ReadmeQuickstartCompilesAndRuns) {
   EXPECT_GT(result.loss, 0.0);
 
   for (ReuseConv2d* layer : model->reuse_layers) {
-    EXPECT_GE(layer->stats().avg_remaining_ratio, 0.0);
+    EXPECT_GE(layer->GetReuseStats()->avg_remaining_ratio, 0.0);
   }
 }
 
