@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -17,7 +18,9 @@
 #include "clustering/exact_dedup.h"
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
+#include "core/reuse_conv2d.h"
 #include "data/synthetic_images.h"
+#include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
@@ -122,6 +125,84 @@ void BM_ReuseBackward(benchmark::State& state) {
 BENCHMARK(BM_ReuseBackward)->Apply([](benchmark::internal::Benchmark* b) {
   ThreadsLHArgs(b, {{100, 8}, {25, 12}});
 });
+
+// The layer backward at the reuse-vs-dense probe shape: batch 32, 32 -> 64
+// channels, 5 x 5 kernel, pad 2, on 16 x 16 inputs of uniform noise under
+// a 5 x 5 box blur (N = 8192, K = 800, M = 64). H = 0 runs the dense
+// Conv2d; otherwise ReuseConv2d at (L, H). Each iteration times one
+// Backward after an untimed training Forward; the reuse/dense ratio of
+// two rows at equal threads is the backward's measured speed-up.
+const Tensor& BlurredConvInput() {
+  static const Tensor* input = [] {
+    constexpr int64_t kBatch = 32, kChannels = 32, kSize = 16, kRadius = 2;
+    Rng rng(29);
+    const Tensor noise = Tensor::RandomUniform(
+        Shape({kBatch, kChannels, kSize, kSize}), &rng, 0.0f, 1.0f);
+    auto* out = new Tensor(noise.shape());
+    for (int64_t plane = 0; plane < kBatch * kChannels; ++plane) {
+      const float* src = noise.data() + plane * kSize * kSize;
+      float* dst = out->data() + plane * kSize * kSize;
+      for (int64_t y = 0; y < kSize; ++y) {
+        for (int64_t x = 0; x < kSize; ++x) {
+          float sum = 0.0f;
+          int count = 0;
+          for (int64_t dy = -kRadius; dy <= kRadius; ++dy) {
+            for (int64_t dx = -kRadius; dx <= kRadius; ++dx) {
+              const int64_t yy = y + dy, xx = x + dx;
+              if (yy < 0 || yy >= kSize || xx < 0 || xx >= kSize) continue;
+              sum += src[yy * kSize + xx];
+              ++count;
+            }
+          }
+          dst[y * kSize + x] = sum / static_cast<float>(count);
+        }
+      }
+    }
+    return out;
+  }();
+  return *input;
+}
+
+void BM_ConvBackward(benchmark::State& state) {
+  SetupThreads(state);
+  const Tensor& input = BlurredConvInput();
+  Conv2dConfig config;
+  config.in_channels = input.shape()[1];
+  config.out_channels = 64;
+  config.kernel = 5;
+  config.pad = 2;
+  config.in_height = input.shape()[2];
+  config.in_width = input.shape()[3];
+  Rng rng(31);
+  std::unique_ptr<Layer> layer;
+  if (state.range(2) == 0) {
+    layer = std::make_unique<Conv2d>("dense", config, &rng);
+  } else {
+    ReuseConfig reuse;
+    reuse.sub_vector_length = state.range(1);
+    reuse.num_hashes = static_cast<int>(state.range(2));
+    layer = std::make_unique<ReuseConv2d>("reuse", config, reuse, &rng);
+  }
+  Tensor grad_output = layer->Forward(input, /*training=*/true);
+  {
+    Rng dy_rng(37);
+    grad_output = Tensor::RandomGaussian(grad_output.shape(), &dy_rng);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    layer->Forward(input, /*training=*/true);
+    state.ResumeTiming();
+    Tensor grad_input = layer->Backward(grad_output);
+    benchmark::DoNotOptimize(grad_input.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ConvBackward)
+    ->ArgNames({"threads", "L", "H"})
+    ->ArgsProduct({{1, 4}, {0}, {0}})
+    ->ArgsProduct({{1, 4}, {25}, {12}})
+    ->ArgsProduct({{1, 4}, {100}, {10}})
+    ->UseRealTime();
 
 // An unfolded matrix for BM_ClusterOnly, with its width and row count.
 struct ClusterRows {

@@ -2,7 +2,6 @@
 
 #include "tensor/simd.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace adr {
 
@@ -27,28 +26,32 @@ Tensor ComputeCentroids(const float* data, int64_t num_rows, int64_t row_dim,
   return centroids;
 }
 
-void ScatterRows(const Tensor& cluster_rows, const Clustering& clustering,
-                 float* out, int64_t row_stride) {
-  ADR_CHECK_EQ(cluster_rows.shape().rank(), 2);
-  ADR_CHECK_EQ(cluster_rows.shape()[0], clustering.num_clusters());
-  ScatterRows(cluster_rows.data(), cluster_rows.shape()[1], clustering, out,
-              row_stride);
-}
-
-void ScatterRows(const float* cluster_rows, int64_t row_dim,
-                 const Clustering& clustering, float* out,
-                 int64_t row_stride) {
-  const float* src = cluster_rows;
-  const int64_t n = clustering.num_rows();
-  // Each output row is written by exactly one index: row chunks are
-  // race-free and the result is thread-count independent.
-  ParallelFor(n, GrainForCost(row_dim), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const float* from = src + clustering.assignment[i] * row_dim;
-      float* to = out + i * row_stride;
-      for (int64_t j = 0; j < row_dim; ++j) to[j] = from[j];
-    }
-  });
+void BuildMemberLists(Clustering* clustering) {
+  const int64_t n = clustering->num_rows();
+  const int64_t num_clusters = clustering->num_clusters();
+  std::vector<int64_t>& start = clustering->member_start;
+  start.resize(static_cast<size_t>(num_clusters + 1));
+  clustering->members.resize(static_cast<size_t>(n));
+  // start[c + 1] begins as the first slot of cluster c and serves as its
+  // fill cursor; after the fill it has advanced to the end of cluster c,
+  // which is the first slot of cluster c + 1.
+  start[0] = 0;
+  if (num_clusters > 0) start[1] = 0;
+  for (int64_t c = 1; c < num_clusters; ++c) {
+    start[static_cast<size_t>(c + 1)] =
+        start[static_cast<size_t>(c)] +
+        clustering->cluster_sizes[static_cast<size_t>(c - 1)];
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    const int32_t cl = clustering->assignment[static_cast<size_t>(i)];
+    ADR_DCHECK(cl >= 0 && cl < num_clusters);
+    int64_t& cursor = start[static_cast<size_t>(cl + 1)];
+    ADR_DCHECK(cursor < n);
+    clustering->members[static_cast<size_t>(cursor++)] =
+        static_cast<int32_t>(i);
+  }
+  ADR_CHECK_EQ(start[static_cast<size_t>(num_clusters)], n)
+      << "cluster_sizes do not sum to the row count";
 }
 
 }  // namespace adr

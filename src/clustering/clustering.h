@@ -16,6 +16,11 @@ struct Clustering {
   std::vector<int32_t> assignment;
   /// Number of member rows per cluster.
   std::vector<int64_t> cluster_sizes;
+  /// Member lists (filled by BuildMemberLists, empty until then): the rows
+  /// of cluster c are members[member_start[c] .. member_start[c + 1]), in
+  /// ascending row order. member_start has |C| + 1 entries, members N.
+  std::vector<int64_t> member_start;
+  std::vector<int32_t> members;
 
   int64_t num_rows() const { return static_cast<int64_t>(assignment.size()); }
   int64_t num_clusters() const {
@@ -36,16 +41,10 @@ struct Clustering {
 Tensor ComputeCentroids(const float* data, int64_t num_rows, int64_t row_dim,
                         int64_t row_stride, const Clustering& clustering);
 
-/// \brief Scatters per-cluster rows back to per-member rows:
-/// out[i] = in[assignment[i]]. `in` is |C| x L, `out` is N x L.
-void ScatterRows(const Tensor& cluster_rows, const Clustering& clustering,
-                 float* out, int64_t row_stride);
-
-/// \brief Raw-pointer ScatterRows for arena-backed buffers; `cluster_rows`
-/// is |C| x `row_dim` row-major.
-void ScatterRows(const float* cluster_rows, int64_t row_dim,
-                 const Clustering& clustering, float* out,
-                 int64_t row_stride);
+/// \brief Fills `member_start` and `members` from `assignment` and
+/// `cluster_sizes`: a counting sort, O(N + |C|). Reuses the two vectors'
+/// capacity, so a recycled clustering allocates nothing at equal shapes.
+void BuildMemberLists(Clustering* clustering);
 
 }  // namespace adr
 

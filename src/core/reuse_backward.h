@@ -9,6 +9,7 @@
 
 #include "core/subvector_clustering.h"
 #include "nn/reuse_stats.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace_arena.h"
 
@@ -31,22 +32,38 @@ struct BackwardReuseResult {
 ///   dW_I      = x_{c,I}^T * dy_{c,I,s}                        (Eq. 10);
 ///   dy_{c,sa} = dy_{c,s} with each row divided by its cluster size;
 ///   dx_{c,I}  = dy_{c,I,sa} * W_I^T                           (Eq. 18),
-/// and the centroid delta is scattered to every member row (Eq. 13).
+/// and the centroid delta reaches every member row (Eq. 13).
 /// grad_bias is exact (column sums of dy), matching the baseline layer.
+///
+/// Each cluster's dy sum starts at zero and adds its member rows
+/// (Clustering::members) in ascending row order, so the bits do not
+/// depend on the thread count. tests/reuse_backward_reference.h writes
+/// the same order out serially.
+///
+/// This allocating form returns the unfolded N x K grad_x: it runs the
+/// fold of ReuseBackwardInto over N one-channel 1 x K images under a
+/// 1 x K kernel, a geometry under which col2im is the identity.
 BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
                                   const Tensor& weight, const Tensor& dy);
 
-/// \brief ReuseBackward into caller-owned buffers — the allocation-free
-/// form the conv layers drive from persistent gradients and a workspace
-/// arena. `dy` is N x M; `grad_weight` ([K, M]), `grad_bias` ([M]) and
-/// `grad_x` ([N, K]) are fully overwritten; per-block scratch bumps from
-/// `arena` (heap fallback when null). Bit-identical to ReuseBackward.
-/// `stats` is overwritten with this call's record.
+/// \brief The reuse backward of a convolution with geometry `geo`, into
+/// caller-owned buffers. `dy` is N x M; `grad_weight` ([K, M]),
+/// `grad_bias` ([M]) and `grad_input` ([Nb, Ic, Ih, Iw]) are fully
+/// overwritten. Scratch (the cluster sums, every block's dx_c and one
+/// L2-sized row tile per fold group) bumps from `arena`, or from the heap
+/// when it is null.
+///
+/// The fold is the reuse twin of ConvBackwardInput: image groups run in
+/// parallel; each fills a row tile with dx_c[cluster(row, I)] for every
+/// block I and accumulates it into grad_input with Col2ImRows. No N x K
+/// matrix is built, and grad_input is bitwise what scattering dx_c to an
+/// N x K matrix and calling Col2Im would give. `stats` is overwritten with
+/// this call's record.
 void ReuseBackwardInto(const ReuseClustering& clustering,
                        const Tensor& weight, const float* dy,
-                       WorkspaceArena* arena, float* grad_weight,
-                       float* grad_bias, float* grad_x,
-                       ReuseLayerStats* stats);
+                       const ConvGeometry& geo, WorkspaceArena* arena,
+                       float* grad_weight, float* grad_bias,
+                       float* grad_input, ReuseLayerStats* stats);
 
 }  // namespace adr
 

@@ -286,11 +286,9 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
     call.macs_executed = 2.0 * static_cast<double>(n) * k * m;
     call.macs_baseline = call.macs_executed;
   } else {
-    float* dx_cols = arena_.AllocFloats(n * k);
-    ReuseBackwardInto(cached_clustering_, weight_, dy, &arena_,
-                      grad_weight_.data(), grad_bias_.data(), dx_cols,
-                      &call);
-    Col2Im(geo, dx_cols, grad_input.data());
+    ReuseBackwardInto(cached_clustering_, weight_, dy, geo, &arena_,
+                      grad_weight_.data(), grad_bias_.data(),
+                      grad_input.data(), &call);
   }
   stats_.Add(call);
   Publish(call);

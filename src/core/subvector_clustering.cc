@@ -183,6 +183,9 @@ ReuseClustering StreamingSubVectorClusterer::Finish() {
     bs.centroids = std::vector<float>();
     out.clustering.cluster_sizes = std::move(bs.sizes);
     out.clustering.assignment = std::move(bs.assignment);
+    out.clustering.member_start = std::move(bs.member_start);
+    out.clustering.members = std::move(bs.members);
+    BuildMemberLists(&out.clustering);
     out.signatures = std::move(bs.sigs);
     out.reused_from_cache = std::move(bs.reused_pool);
     out.reused_from_cache.assign(static_cast<size_t>(num_clusters), false);
@@ -199,6 +202,8 @@ void StreamingSubVectorClusterer::Recycle(ReuseClustering&& old) {
     bs.sizes = std::move(ob.clustering.cluster_sizes);
     bs.sigs = std::move(ob.signatures);
     bs.assignment = std::move(ob.clustering.assignment);
+    bs.member_start = std::move(ob.clustering.member_start);
+    bs.members = std::move(ob.clustering.members);
     bs.reused_pool = std::move(ob.reused_from_cache);
   }
 }

@@ -94,6 +94,8 @@ class BlockLshFamilies {
 ///     every rows_per_group boundary;
 ///   - centroid sums accumulate in ascending row order and are scaled once
 ///     per cluster, in ascending cluster order, at Finish.
+/// Finish also records each block's member lists (BuildMemberLists), the
+/// per-cluster row index the reuse backward sums and folds through.
 ///
 /// All buffers persist across Begin/Finish cycles; pair Finish with a
 /// later Recycle() of the returned ReuseClustering so steady-state
@@ -131,6 +133,9 @@ class StreamingSubVectorClusterer {
     std::vector<int64_t> sizes;
     std::vector<LshSignature> sigs;
     std::vector<int32_t> assignment;
+    // Recycled member-list capacity, refilled at Finish.
+    std::vector<int64_t> member_start;
+    std::vector<int32_t> members;
     // Recycled reused_from_cache capacity (see Recycle).
     std::vector<bool> reused_pool;
     // Per-tile signature buffer.

@@ -116,6 +116,10 @@ class ScratchAllocator {
     return static_cast<int32_t*>(
         Bytes(count * static_cast<int64_t>(sizeof(int32_t))));
   }
+  int64_t* Int64(int64_t count) {
+    return static_cast<int64_t*>(
+        Bytes(count * static_cast<int64_t>(sizeof(int64_t))));
+  }
 
  private:
   void* Bytes(int64_t bytes) {

@@ -300,6 +300,7 @@ inline ReuseClustering ClusterSubVectors(const BlockLshFamilies& families,
     }
     block.centroids = ComputeCentroids(x + block.col_offset, num_rows,
                                        block.length, k, merged);
+    BuildMemberLists(&merged);
     block.reused_from_cache.assign(
         static_cast<size_t>(merged.num_clusters()), false);
   }

@@ -1,7 +1,9 @@
 // Tests for the clustering substrate: LSH, signature grouping, centroids
-// and scatter.
+// and member lists.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "clustering/clustering.h"
 #include "clustering/lsh.h"
@@ -168,16 +170,23 @@ TEST(ComputeCentroidsTest, RespectsRowStride) {
   EXPECT_FLOAT_EQ(centroids.at(0, 1), 3.0f);
 }
 
-TEST(ScatterRowsTest, CopiesClusterRowToMembers) {
-  Tensor cluster_rows(Shape({2, 3}), {1, 2, 3, 10, 20, 30});
+TEST(BuildMemberListsTest, GroupsRowsByClusterInAscendingOrder) {
   Clustering c;
-  c.assignment = {1, 0, 1};
-  c.cluster_sizes = {1, 2};
-  Tensor out(Shape({3, 3}));
-  ScatterRows(cluster_rows, c, out.data(), 3);
-  EXPECT_FLOAT_EQ(out.at(0, 0), 10.0f);
-  EXPECT_FLOAT_EQ(out.at(1, 0), 1.0f);
-  EXPECT_FLOAT_EQ(out.at(2, 2), 30.0f);
+  c.assignment = {1, 0, 2, 1, 1, 0};
+  c.cluster_sizes = {2, 3, 1};
+  // Stale contents and capacity from an earlier clustering are replaced.
+  c.member_start = {7, 7, 7, 7, 7, 7, 7, 7};
+  c.members = {9, 9};
+  BuildMemberLists(&c);
+  EXPECT_EQ(c.member_start, (std::vector<int64_t>{0, 2, 5, 6}));
+  EXPECT_EQ(c.members, (std::vector<int32_t>{1, 5, 0, 3, 4, 2}));
+}
+
+TEST(BuildMemberListsTest, EmptyClustering) {
+  Clustering c;
+  BuildMemberLists(&c);
+  EXPECT_EQ(c.member_start, (std::vector<int64_t>{0}));
+  EXPECT_TRUE(c.members.empty());
 }
 
 }  // namespace

@@ -83,6 +83,9 @@ void ExpectSameClustering(const ReuseClustering& actual,
         << "block " << b;
     EXPECT_EQ(ab.clustering.cluster_sizes, rb.clustering.cluster_sizes)
         << "block " << b;
+    EXPECT_EQ(ab.clustering.member_start, rb.clustering.member_start)
+        << "block " << b;
+    EXPECT_EQ(ab.clustering.members, rb.clustering.members) << "block " << b;
     EXPECT_EQ(ab.reused_from_cache, rb.reused_from_cache) << "block " << b;
     ASSERT_EQ(ab.signatures.size(), rb.signatures.size()) << "block " << b;
     for (size_t c = 0; c < ab.signatures.size(); ++c) {

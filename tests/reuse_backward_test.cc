@@ -1,17 +1,164 @@
-// Tests for ReuseBackward (paper Section IV): exactness in the singleton
-// limit, the averaging semantics of Eq. 13, and MAC accounting.
+// Tests for ReuseBackward (paper Section IV): bitwise agreement with the
+// serial reference of tests/reuse_backward_reference.h, exactness in the
+// singleton limit, the averaging semantics of Eq. 13, and MAC accounting.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/workspace_arena.h"
 #include "tests/clustered_forward_reference.h"
+#include "tests/kernel_harness.h"
+#include "tests/reuse_backward_reference.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace adr {
 namespace {
+
+using testutil::Backends;
+
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
+  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
+
+ private:
+  int saved_;
+};
+
+ConvGeometry Geometry(int64_t batch, int64_t channels, int64_t size,
+                      int64_t kernel, int64_t stride, int64_t pad) {
+  ConvGeometry geo;
+  geo.batch = batch;
+  geo.in_channels = channels;
+  geo.in_height = size;
+  geo.in_width = size;
+  geo.kernel_h = kernel;
+  geo.kernel_w = kernel;
+  geo.stride = stride;
+  geo.pad = pad;
+  return geo;
+}
+
+void ExpectBitwiseEqual(const float* actual, const float* expected,
+                        int64_t count, const char* what) {
+  for (int64_t i = 0; i < count; ++i) {
+    if (std::memcmp(actual + i, expected + i, sizeof(float)) != 0) {
+      ADD_FAILURE() << what << " differs at element " << i << ": "
+                    << actual[i] << " vs " << expected[i];
+      return;
+    }
+  }
+}
+
+struct BitwiseCase {
+  const char* name;
+  ConvGeometry geo;
+  int64_t l;  ///< sub-vector length before clamping to K
+  int h;
+  bool all_singletons;  ///< the case requires |C| = N in every block
+};
+
+// ReuseBackwardInto (conv geometry, arena) and the allocating ReuseBackward
+// (1 x 1 geometry, heap scratch) both match ReferenceBackward bit for bit:
+// dW, db, the folded input delta and the unfolded grad_x.
+TEST(ReuseBackwardTest, MatchesReferenceBitwise) {
+  ThreadCountGuard guard;
+  const BitwiseCase cases[] = {
+      // AlexNet conv1: 11 x 11 stride 4, K = 363 in 36 blocks of 10 and
+      // one of 3; each image spans two fold tiles.
+      {"alexnet_conv1", Geometry(2, 3, 67, 11, 4, 0), 10, 8, false},
+      // Overlapping 5 x 5 pad-2 patches; 20 images in 8 fold groups, so
+      // tiles span image boundaries.
+      {"pad2_overlap", Geometry(20, 8, 12, 5, 1, 2), 25, 8, false},
+      // K = 100 with L = 30: a short last block.
+      {"k_mod_l", Geometry(3, 4, 9, 5, 1, 2), 30, 8, false},
+      {"l_equals_k", Geometry(3, 4, 9, 5, 1, 2), 100, 10, false},
+      {"l_above_k_clamped", Geometry(3, 4, 9, 5, 1, 2), 150, 10, false},
+      {"n_1", Geometry(1, 2, 5, 5, 1, 0), 7, 8, false},
+      {"all_singletons", Geometry(2, 3, 8, 3, 1, 0), 9, 64, true},
+  };
+  constexpr int64_t kM = 16;
+  for (const BitwiseCase& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    const ConvGeometry& geo = tc.geo;
+    const int64_t n = geo.unfolded_rows();
+    const int64_t k = geo.unfolded_cols();
+    Rng rng(41);
+    const Tensor input = Tensor::RandomGaussian(
+        Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}),
+        &rng);
+    const Tensor weight = Tensor::RandomGaussian(Shape({k, kM}), &rng);
+    const Tensor dy = Tensor::RandomGaussian(Shape({n, kM}), &rng);
+    Tensor cols(Shape({n, k}));
+    Im2Col(geo, input, &cols);
+    auto families = BlockLshFamilies::Create(k, tc.l, tc.h, 3);
+    ASSERT_TRUE(families.ok());
+
+    for (const simd::Kernels* backend : Backends()) {
+      simd::ScopedKernelsOverride override_backend(*backend);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(backend->name) + " threads=" +
+                     std::to_string(threads));
+        ThreadPool::SetGlobalThreads(threads);
+        const ReuseClustering clustering =
+            ClusteredMatmulForward(*families, cols.data(), n, weight, nullptr,
+                                   n, nullptr)
+                .clustering;
+        bool coarse = false;
+        for (const SubMatrixClustering& block : clustering.blocks) {
+          if (tc.all_singletons) {
+            ASSERT_EQ(block.clustering.num_clusters(), n);
+          } else if (block.clustering.num_clusters() < n) {
+            coarse = true;
+          }
+        }
+        if (!tc.all_singletons && n > 1) {
+          ASSERT_TRUE(coarse) << "no cluster has two members";
+        }
+        const ReferenceBackwardResult expected =
+            ReferenceBackward(clustering, weight, dy.data(), geo);
+
+        WorkspaceArena arena;
+        Tensor grad_weight(Shape({k, kM}));
+        Tensor grad_bias(Shape({kM}));
+        Tensor grad_input(Shape(
+            {geo.batch, geo.in_channels, geo.in_height, geo.in_width}));
+        ReuseLayerStats stats;
+        for (int step = 0; step < 2; ++step) {  // warm arena on step 1
+          arena.Reset();
+          ReuseBackwardInto(clustering, weight, dy.data(), geo, &arena,
+                            grad_weight.data(), grad_bias.data(),
+                            grad_input.data(), &stats);
+        }
+        ExpectBitwiseEqual(grad_weight.data(), expected.grad_weight.data(),
+                           k * kM, "dW");
+        ExpectBitwiseEqual(grad_bias.data(), expected.grad_bias.data(), kM,
+                           "db");
+        ExpectBitwiseEqual(grad_input.data(), expected.grad_input.data(),
+                           grad_input.num_elements(), "dX");
+
+        const BackwardReuseResult unfolded =
+            ReuseBackward(clustering, weight, dy);
+        ExpectBitwiseEqual(unfolded.grad_weight.data(),
+                           expected.grad_weight.data(), k * kM,
+                           "wrapper dW");
+        ExpectBitwiseEqual(unfolded.grad_bias.data(),
+                           expected.grad_bias.data(), kM, "wrapper db");
+        ExpectBitwiseEqual(unfolded.grad_x.data(), expected.grad_cols.data(),
+                           n * k, "wrapper grad_x");
+      }
+    }
+  }
+}
 
 struct DenseBackward {
   Tensor grad_weight;

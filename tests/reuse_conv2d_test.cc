@@ -343,6 +343,29 @@ TEST(ReuseConv2dTest, CoarseClusteringSavesMacs) {
   EXPECT_GT(layer.GetReuseStats()->MacsSavedFraction(), 0.0);
 }
 
+TEST(ReuseConv2dTest, ReuseBackwardBuildsNoUnfoldedMatrix) {
+  // The reuse backward folds centroid deltas straight into grad_input, so
+  // a whole training step's scratch stays below one N x K float matrix.
+  Conv2dConfig config;
+  config.in_channels = 16;
+  config.out_channels = 16;
+  config.kernel = 5;
+  config.pad = 2;
+  config.in_height = 16;
+  config.in_width = 16;
+  ReuseConfig reuse;
+  reuse.sub_vector_length = 25;
+  reuse.num_hashes = 8;
+  Rng rng(21);
+  ReuseConv2d layer("conv", config, reuse, &rng);
+  const Tensor in = Tensor::RandomGaussian(Shape({16, 16, 16, 16}), &rng);
+  const Tensor out = layer.Forward(in, true);
+  layer.Backward(Tensor::RandomGaussian(out.shape(), &rng));
+  const int64_t n = layer.Geometry(16).unfolded_rows();
+  EXPECT_LT(layer.workspace().used_bytes(),
+            n * layer.unfolded_cols() * static_cast<int64_t>(sizeof(float)));
+}
+
 TEST(ReuseConv2dTest, ForwardMacsMatchesConv2d) {
   Rng rng1(19), rng2(19);
   Conv2d baseline("conv", SmallConv(), &rng1);

@@ -1,8 +1,14 @@
-// Tests for ReuseConfig, BlockLshFamilies and the reference clusterer
+// Tests for ReuseConfig, BlockLshFamilies, the reference clusterer
 // ClusterSubVectors (tests/clustered_forward_reference.h), whose bits the
-// production StreamingSubVectorClusterer must match (fused_forward_test).
+// production StreamingSubVectorClusterer must match (fused_forward_test),
+// and the member lists the production clusterer records at Finish.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/reuse_config.h"
 #include "core/subvector_clustering.h"
@@ -195,6 +201,75 @@ TEST(ClusterSubVectorsTest, RemainingRatioBounds) {
   const double rc = result.AverageRemainingRatio();
   EXPECT_GT(rc, 0.0);
   EXPECT_LE(rc, 1.0);
+}
+
+// Every block's member lists list each cluster's rows in ascending order,
+// in runs of cluster_sizes, and together cover [0, N) exactly once.
+void ExpectMemberListsPartitionRows(const ReuseClustering& clustering) {
+  const int64_t n = clustering.num_rows;
+  for (size_t b = 0; b < clustering.blocks.size(); ++b) {
+    SCOPED_TRACE("block " + std::to_string(b));
+    const Clustering& c = clustering.blocks[b].clustering;
+    const int64_t num_clusters = c.num_clusters();
+    ASSERT_EQ(static_cast<int64_t>(c.member_start.size()), num_clusters + 1);
+    ASSERT_EQ(static_cast<int64_t>(c.members.size()), n);
+    EXPECT_EQ(c.member_start[0], 0);
+    std::vector<int> seen(static_cast<size_t>(n), 0);
+    for (int64_t cl = 0; cl < num_clusters; ++cl) {
+      const int64_t begin = c.member_start[static_cast<size_t>(cl)];
+      const int64_t end = c.member_start[static_cast<size_t>(cl + 1)];
+      ASSERT_EQ(end - begin, c.cluster_sizes[static_cast<size_t>(cl)])
+          << "cluster " << cl;
+      for (int64_t j = begin; j < end; ++j) {
+        const int32_t row = c.members[static_cast<size_t>(j)];
+        ASSERT_GE(row, 0);
+        ASSERT_LT(row, n);
+        EXPECT_EQ(c.assignment[static_cast<size_t>(row)], cl) << "row " << row;
+        if (j > begin) {
+          EXPECT_LT(c.members[static_cast<size_t>(j - 1)], row)
+              << "cluster " << cl << " not ascending";
+        }
+        ++seen[static_cast<size_t>(row)];
+      }
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), n)
+        << "member lists are not a partition of the rows";
+  }
+}
+
+TEST(StreamingClustererTest, MemberListsPartitionRowsInAscendingRuns) {
+  // Coarse hashes (H = 3) so clusters have many members; a ragged tail
+  // block; tiles that straddle the scope groups; and a second, smaller
+  // cycle on recycled buffers.
+  auto families = BlockLshFamilies::Create(10, 4, 3, 9);
+  ASSERT_TRUE(families.ok());
+  Rng rng(9);
+  StreamingSubVectorClusterer clusterer;
+  struct Cycle {
+    int64_t n;
+    int64_t rows_per_group;
+    int64_t tile_rows;
+  };
+  for (const Cycle cycle : {Cycle{120, 40, 17}, Cycle{60, 60, 64},
+                            Cycle{1, 1, 1}}) {
+    SCOPED_TRACE("n=" + std::to_string(cycle.n));
+    const Tensor x = Tensor::RandomGaussian(Shape({cycle.n, 10}), &rng);
+    clusterer.Begin(&*families, cycle.n, cycle.rows_per_group);
+    for (int64_t row = 0; row < cycle.n; row += cycle.tile_rows) {
+      clusterer.ConsumeTile(x.data() + row * 10, row,
+                            std::min(cycle.tile_rows, cycle.n - row));
+    }
+    ReuseClustering clustering = clusterer.Finish();
+    ExpectMemberListsPartitionRows(clustering);
+    // The reference clusterer records the same lists.
+    const ReuseClustering reference =
+        ClusterSubVectors(*families, x.data(), cycle.n, cycle.rows_per_group);
+    for (size_t b = 0; b < clustering.blocks.size(); ++b) {
+      EXPECT_EQ(clustering.blocks[b].clustering.members,
+                reference.blocks[b].clustering.members);
+    }
+    clusterer.Recycle(std::move(clustering));
+  }
 }
 
 }  // namespace
