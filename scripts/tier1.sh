@@ -3,6 +3,11 @@
 # $ADR_TIER1_THREADS (default "1 4"), then exercise the concurrency-heavy
 # tests under ThreadSanitizer.
 #
+# The suite builds into $ADR_TIER1_BUILD_DIR (default build) configured
+# with $ADR_TIER1_CMAKE_ARGS, so the scalar-only gate is
+#   ADR_TIER1_BUILD_DIR=build-nosimd ADR_TIER1_CMAKE_ARGS=-DADR_SIMD=OFF \
+#     scripts/tier1.sh --no-tsan
+#
 # The TSan test list lives in scripts/tsan_tests.txt — the same file the
 # tsan_suite CMake target and CI read, so the three can never drift.
 #
@@ -28,13 +33,15 @@ mapfile -t TSAN_TESTS < <(sed -e 's/#.*//' -e 's/[[:space:]]*$//' \
                               -e '/^$/d' scripts/tsan_tests.txt)
 
 if [[ "$RUN_BUILD" == "1" ]]; then
-  echo "== configure + build =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j
+  BUILD_DIR="${ADR_TIER1_BUILD_DIR:-build}"
+  read -r -a CMAKE_ARGS <<< "${ADR_TIER1_CMAKE_ARGS:-}"
+  echo "== configure + build ($BUILD_DIR ${CMAKE_ARGS[*]}) =="
+  cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}" >/dev/null
+  cmake --build "$BUILD_DIR" -j
 
   for threads in ${ADR_TIER1_THREADS:-1 4}; do
     echo "== ctest, ADR_THREADS=$threads =="
-    ADR_THREADS="$threads" ctest --test-dir build --output-on-failure -j
+    ADR_THREADS="$threads" ctest --test-dir "$BUILD_DIR" --output-on-failure -j
   done
 fi
 

@@ -21,6 +21,11 @@ bool NeedsGrow(int64_t entries, int64_t capacity) {
   return capacity == 0 || 10 * (entries + 1) > 7 * capacity;
 }
 
+// Lookups ahead whose first probe slot (FindBatch) or payload
+// (GatherHits) is prefetched: batched lookups hit random slots of tables
+// that outgrow L2, and a miss is far longer than one lookup's work.
+constexpr int64_t kPrefetchAhead = 8;
+
 int64_t ProbeBucket(int64_t probe_len) {
   return std::min<int64_t>(probe_len, ClusterReuseCache::kProbeBuckets) - 1;
 }
@@ -125,6 +130,10 @@ int64_t ClusterReuseCache::FindBatch(int64_t block_index,
     // neither the recency-stamp store nor its per-hit branch.
     const auto scan = [&](auto track) {
       for (int64_t i = begin; i < end; ++i) {
+        if (i + kPrefetchAhead < end) {
+          __builtin_prefetch(
+              &slots[SignatureKey(signatures[i + kPrefetchAhead]) & mask]);
+        }
         const LshSignature sig = signatures[i];
         const uint64_t w0 = sig.words[0];
         const uint64_t w1 = sig.words[1];
@@ -182,6 +191,14 @@ void ClusterReuseCache::GatherHits(int64_t block_index, const int32_t* entries,
   const int64_t row_cost = block.rep_len + block.out_len;
   ParallelFor(count, GrainForCost(row_cost), [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
+      if (i + kPrefetchAhead < end && entries[i + kPrefetchAhead] >= 0) {
+        const float* ahead =
+            block.slab.data() +
+            static_cast<int64_t>(entries[i + kPrefetchAhead]) * block.stride;
+        for (int64_t f = 0; f < row_cost; f += 16) {  // 16 floats a line
+          __builtin_prefetch(ahead + f);
+        }
+      }
       const int32_t entry = entries[i];
       if (entry < 0) continue;
       const float* base =

@@ -95,13 +95,11 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
                   while (t >= first[b + 1]) ++b;
                   const Clustering& c = clustering.blocks[b].clustering;
                   const size_t cl = static_cast<size_t>(t - first[b]);
+                  const int64_t* start = c.member_start.data() + cl;
                   float* dst = sums + t * m;
                   std::fill_n(dst, m, 0.0f);
-                  for (int64_t j = c.member_start[cl];
-                       j < c.member_start[cl + 1]; ++j) {
-                    kernels.add(dy + c.members[static_cast<size_t>(j)] * m,
-                                dst, m);
-                  }
+                  kernels.gather_add(dy, m, c.members.data() + start[0],
+                                     start[1] - start[0], dst, m);
                 }
               });
   macs += static_cast<double>(n * static_cast<int64_t>(num_blocks) - total) *

@@ -49,6 +49,13 @@ Result<BlockLshFamilies> BlockLshFamilies::Create(int64_t k,
   return out;
 }
 
+namespace {
+
+// Slots of a block's first table; it doubles from there.
+constexpr size_t kMinTableSlots = 64;
+
+}  // namespace
+
 void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
                                         int64_t num_rows,
                                         int64_t rows_per_group) {
@@ -61,21 +68,89 @@ void StreamingSubVectorClusterer::Begin(const BlockLshFamilies* families,
   num_rows_ = num_rows;
   rows_per_group_ = rows_per_group;
   next_row_ = 0;
-  // Same sizing rule as ClusterBySignature's per-group table; the table is
-  // (re)filled with -1 at every group boundary inside ConsumeTile, so
-  // Begin only has to guarantee capacity.
-  size_t capacity = 16;
-  while (capacity < 2 * static_cast<size_t>(rows_per_group)) capacity <<= 1;
-  table_mask_ = capacity - 1;
+  // Tables keep the capacity earlier cycles grew them to; ConsumeTile
+  // empties them at every group boundary, row 0 included.
   blocks_.resize(static_cast<size_t>(families->num_blocks()));
   for (BlockState& bs : blocks_) {
-    bs.slot_id.resize(capacity);
-    bs.slot_sig.resize(capacity);
+    if (bs.table.empty()) bs.table.resize(kMinTableSlots);
     bs.centroids.clear();
     bs.sizes.clear();
     bs.sigs.clear();
     bs.assignment.resize(static_cast<size_t>(num_rows));
   }
+}
+
+int32_t StreamingSubVectorClusterer::AddCluster(BlockState* bs,
+                                                const LshSignature& sig,
+                                                size_t slot) {
+  const int32_t id = static_cast<int32_t>(bs->sigs.size());
+  if (2 * static_cast<size_t>(id - bs->group_first + 1) > bs->table.size()) {
+    // Double and rehash the group's clusters (ids are first-seen order,
+    // so the table's layout never shows in the result).
+    bs->table.assign(2 * bs->table.size(), Slot{});
+    const size_t mask = bs->table.size() - 1;
+    for (int32_t c = bs->group_first; c < id; ++c) {
+      const LshSignature& s = bs->sigs[static_cast<size_t>(c)];
+      size_t free_slot = SignatureKey(s) & mask;
+      while (bs->table[free_slot].id >= 0) free_slot = (free_slot + 1) & mask;
+      bs->table[free_slot] = Slot{s, c};
+    }
+    slot = SignatureKey(sig) & mask;
+    while (bs->table[slot].id >= 0) slot = (slot + 1) & mask;
+  }
+  bs->table[slot] = Slot{sig, id};
+  bs->sigs.push_back(sig);
+  bs->sizes.push_back(0);
+  return id;
+}
+
+void StreamingSubVectorClusterer::GroupTile(BlockState* bs, const float* x,
+                                            int64_t row_begin,
+                                            int64_t tile_rows,
+                                            int64_t length) {
+  // Ids in ascending row order: ClusterBySignature's first-seen order,
+  // with the table emptied at each group boundary.
+  int64_t next_reset =
+      (row_begin + rows_per_group_ - 1) / rows_per_group_ * rows_per_group_;
+  const Slot* table = bs->table.data();
+  size_t mask = bs->table.size() - 1;
+  int32_t* assignment = bs->assignment.data() + row_begin;
+  for (int64_t i = 0; i < tile_rows; ++i) {
+    if (row_begin + i == next_reset) {
+      std::fill(bs->table.begin(), bs->table.end(), Slot{});
+      bs->group_first = static_cast<int32_t>(bs->sigs.size());
+      next_reset += rows_per_group_;
+    }
+    const LshSignature& sig = bs->tile_sigs[static_cast<size_t>(i)];
+    size_t slot = SignatureKey(sig) & mask;
+    while (table[slot].id >= 0 &&
+           ((table[slot].sig.words[0] ^ sig.words[0]) |
+            (table[slot].sig.words[1] ^ sig.words[1])) != 0) {
+      slot = (slot + 1) & mask;
+    }
+    int32_t id = table[slot].id;
+    if (id < 0) {
+      id = AddCluster(bs, sig, slot);
+      table = bs->table.data();
+      mask = bs->table.size() - 1;
+    }
+    assignment[i] = id;
+    ++bs->sizes[static_cast<size_t>(id)];
+  }
+
+  // The rows' adds to their clusters' running sums, in row order: one
+  // kernel call per tile, no indirect call per row.
+  const size_t needed = bs->sigs.size() * static_cast<size_t>(length);
+  if (needed > bs->centroids.size()) {
+    // Zero-filled sums for the new clusters and the next ones, in
+    // doubling steps (at least 64 clusters).
+    bs->centroids.resize(
+        std::max(needed, std::max(2 * bs->centroids.size(),
+                                  static_cast<size_t>(64 * length))),
+        0.0f);
+  }
+  simd::Active().scatter_add(x, families_->k(), assignment, tile_rows,
+                             bs->centroids.data(), length);
 }
 
 void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
@@ -86,8 +161,6 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
   ADR_CHECK_LE(row_begin + tile_rows, num_rows_);
   const int64_t k = families_->k();
   const int64_t num_blocks = families_->num_blocks();
-  const simd::Kernels& kernels = simd::Active();
-  const LshSignatureHash sig_hasher;
 
   // Signatures of every block, one pass over row chunks: a chunk's rows
   // stay in cache while all blocks hash them, and each row owns its
@@ -107,52 +180,12 @@ void StreamingSubVectorClusterer::ConsumeTile(const float* tile,
                 }
               });
 
-  // First group boundary at or after row_begin.
-  const int64_t first_reset =
-      (row_begin + rows_per_group_ - 1) / rows_per_group_ * rows_per_group_;
+  // Grouping, serial per block in ascending global row order, so the
+  // result is independent of the tiling.
   for (int64_t b = 0; b < num_blocks; ++b) {
-    BlockState& bs = blocks_[static_cast<size_t>(b)];
-    const int64_t offset = families_->block_offset(b);
-    const int64_t length = families_->block_length(b);
-
-    // Serial per-row pass in ascending global row order: ids follow
-    // ClusterBySignature's first-seen order (with the per-group reset) and
-    // the centroid sums accumulate in ComputeCentroids' row order, so the
-    // result is independent of the tiling.
-    int64_t next_reset = first_reset;
-    for (int64_t i = 0; i < tile_rows; ++i) {
-      const int64_t row = row_begin + i;
-      if (row == next_reset) {
-        std::fill(bs.slot_id.begin(), bs.slot_id.end(), -1);
-        next_reset += rows_per_group_;
-      }
-      const LshSignature& sig = bs.tile_sigs[static_cast<size_t>(i)];
-      size_t slot = sig_hasher(sig) & table_mask_;
-      while (bs.slot_id[slot] >= 0 && !(bs.slot_sig[slot] == sig)) {
-        slot = (slot + 1) & table_mask_;
-      }
-      int32_t id = bs.slot_id[slot];
-      if (id < 0) {
-        id = static_cast<int32_t>(bs.sizes.size());
-        bs.slot_id[slot] = id;
-        bs.slot_sig[slot] = sig;
-        bs.sizes.push_back(0);
-        bs.sigs.push_back(sig);
-        const size_t needed = static_cast<size_t>((id + 1) * length);
-        if (needed > bs.centroids.size()) {
-          // Zero-filled sums for this and the next clusters, in doubling
-          // steps (at least 64 clusters), not one resize per cluster.
-          bs.centroids.resize(
-              std::max(needed, std::max(2 * bs.centroids.size(),
-                                        static_cast<size_t>(64 * length))),
-              0.0f);
-        }
-      }
-      bs.assignment[static_cast<size_t>(row)] = id;
-      ++bs.sizes[static_cast<size_t>(id)];
-      kernels.add(tile + i * k + offset, bs.centroids.data() + id * length,
-                  length);
-    }
+    GroupTile(&blocks_[static_cast<size_t>(b)],
+              tile + families_->block_offset(b), row_begin, tile_rows,
+              families_->block_length(b));
   }
   next_row_ += tile_rows;
 }

@@ -92,8 +92,11 @@ class BlockLshFamilies {
 ///   - each row's signature is independent of the other rows in its tile;
 ///   - ids are assigned in ascending row order, with the table reset at
 ///     every rows_per_group boundary;
-///   - centroid sums accumulate in ascending row order and are scaled once
-///     per cluster, in ascending cluster order, at Finish.
+///   - centroid sums accumulate from zero in ascending row order (one
+///     scatter_add call per tile and block) and are scaled once per
+///     cluster, in ascending cluster order, at Finish.
+/// Each block's signature table is sized by the group's cluster count,
+/// not by rows_per_group, so tables stay small enough to share L2.
 /// Finish also records each block's member lists (BuildMemberLists), the
 /// per-cluster row index the reuse backward sums and folds through.
 ///
@@ -121,11 +124,20 @@ class StreamingSubVectorClusterer {
   void Recycle(ReuseClustering&& old);
 
  private:
+  // One signature-table slot. A probe reads the signature and the id from
+  // one slot; id < 0 marks an empty slot.
+  struct Slot {
+    LshSignature sig;
+    int32_t id = -1;
+  };
+
   struct BlockState {
-    // Open-addressing signature table, persistent across tiles within a
-    // group; slot ids are global (running) cluster ids.
-    std::vector<int32_t> slot_id;
-    std::vector<LshSignature> slot_sig;
+    // Open-addressing table of the current group's signatures; slot ids
+    // are global (running) cluster ids. It doubles, rehashing the group's
+    // clusters, before it would pass load 1/2, so it follows the group's
+    // cluster count; its capacity persists across groups and cycles.
+    std::vector<Slot> table;
+    int32_t group_first = 0;  // id of the current group's first cluster
     // Growing per-cluster state, moved into the result at Finish.
     // centroids holds |C| x length running sums, zero-filled in doubling
     // steps ahead of |C| and trimmed to |C| x length at Finish.
@@ -142,11 +154,19 @@ class StreamingSubVectorClusterer {
     std::vector<LshSignature> tile_sigs;
   };
 
+  // Adds `sig`, which the table lacks, as block `bs`'s next cluster at
+  // the empty `slot` its probe ended on (or in the grown table) and
+  // returns its id.
+  int32_t AddCluster(BlockState* bs, const LshSignature& sig, size_t slot);
+  // Groups one block's rows of the current tile (`x` is the block's first
+  // column of the tile) and adds them to their clusters' centroid sums.
+  void GroupTile(BlockState* bs, const float* x, int64_t row_begin,
+                 int64_t tile_rows, int64_t length);
+
   const BlockLshFamilies* families_ = nullptr;
   int64_t num_rows_ = 0;
   int64_t rows_per_group_ = 0;
   int64_t next_row_ = 0;
-  size_t table_mask_ = 0;
   std::vector<BlockState> blocks_;
 };
 

@@ -1,5 +1,6 @@
 #include "data/synthetic_images.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -10,12 +11,17 @@ namespace adr {
 
 namespace {
 
+// Channels that share one evaluation of a blob's falloff. Their
+// amplitudes live in a stack array, so adding blobs allocates nothing.
+constexpr int64_t kChannelChunk = 8;
+
 // Adds `count` Gaussian blobs to a C x H x W image. Blob centers, radii and
 // per-channel amplitudes come from `rng`. `amplitude` scales all blobs.
 void AddBlobs(Rng* rng, int count, float radius_fraction, float amplitude,
               int64_t channels, int64_t height, int64_t width, float* image) {
   const float base_radius =
       radius_fraction * static_cast<float>(std::min(height, width));
+  const int64_t plane = height * width;
   for (int b = 0; b < count; ++b) {
     const float cy = rng->NextUniform(0.0f, static_cast<float>(height));
     const float cx = rng->NextUniform(0.0f, static_cast<float>(width));
@@ -24,15 +30,22 @@ void AddBlobs(Rng* rng, int count, float radius_fraction, float amplitude,
     // Per-channel amplitudes share a sign so blobs look like colored
     // features, not random static.
     const float sign = rng->NextDouble() < 0.5 ? -1.0f : 1.0f;
-    for (int64_t c = 0; c < channels; ++c) {
-      const float amp = sign * amplitude * rng->NextUniform(0.3f, 1.0f);
-      float* plane = image + c * height * width;
+    for (int64_t c0 = 0; c0 < channels; c0 += kChannelChunk) {
+      const int64_t chunk = std::min(kChannelChunk, channels - c0);
+      float amps[kChannelChunk];
+      for (int64_t c = 0; c < chunk; ++c) {
+        amps[c] = sign * amplitude * rng->NextUniform(0.3f, 1.0f);
+      }
+      // One falloff per pixel, added to each channel of the chunk.
       for (int64_t y = 0; y < height; ++y) {
         const float dy = static_cast<float>(y) - cy;
         for (int64_t x = 0; x < width; ++x) {
           const float dx = static_cast<float>(x) - cx;
-          plane[y * width + x] +=
-              amp * std::exp(-(dx * dx + dy * dy) * inv_2r2);
+          const float falloff = std::exp(-(dx * dx + dy * dy) * inv_2r2);
+          float* pixel = image + c0 * plane + y * width + x;
+          for (int64_t c = 0; c < chunk; ++c) {
+            pixel[c * plane] += amps[c] * falloff;
+          }
         }
       }
     }
@@ -123,15 +136,17 @@ void SyntheticImageDataset::Get(int64_t index, float* out_image,
   const int t = config_.max_translation;
   const int64_t dy = t > 0 ? static_cast<int64_t>(rng.NextBounded(2 * t + 1)) - t : 0;
   const int64_t dx = t > 0 ? static_cast<int64_t>(rng.NextBounded(2 * t + 1)) - t : 0;
+  // Each destination row is its source row rotated left by sx: two
+  // contiguous copies.
+  const int64_t sy0 = (dy % h + h) % h;
+  const int64_t sx = (dx % w + w) % w;
   for (int64_t c = 0; c < c_count; ++c) {
     const float* src = tmpl.data() + c * h * w;
     float* dst = out_image + c * h * w;
-    for (int64_t y = 0; y < h; ++y) {
-      const int64_t sy = (y + dy % h + h) % h;
-      for (int64_t x = 0; x < w; ++x) {
-        const int64_t sx = (x + dx % w + w) % w;
-        dst[y * w + x] = src[sy * w + sx];
-      }
+    for (int64_t y = 0, sy = sy0; y < h; ++y, sy = sy + 1 == h ? 0 : sy + 1) {
+      const float* row = src + sy * w;
+      std::copy(row + sx, row + w, dst + y * w);
+      std::copy(row, row + sx, dst + y * w + (w - sx));
     }
   }
 

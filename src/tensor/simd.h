@@ -2,7 +2,7 @@
 //
 // Every dense inner loop the library spends its time in (the GEMM
 // microkernel, the LSH project-and-sign kernel, the cluster
-// gather/scatter adds and the backward sum/average reductions)
+// gather/scatter adds and the cluster sums of forward and backward)
 // funnels through the small table of primitives below. The table has one
 // implementation per instruction set:
 //
@@ -63,6 +63,17 @@ struct Kernels {
   void (*copy)(const float* x, float* y, int64_t n);
   /// y[i] *= s
   void (*scale)(float s, float* y, int64_t n);
+  /// y[j] += x[rows[0] * ldx + j], then += x[rows[1] * ldx + j], ... for
+  /// every listed row in the order given, j < n: bitwise what `count`
+  /// calls of `add` give, but the running sum stays in registers across
+  /// the rows. The reuse backward sums each cluster's rows with this.
+  void (*gather_add)(const float* x, int64_t ldx, const int32_t* rows,
+                     int64_t count, float* y, int64_t n);
+  /// y[ids[i] * n + j] += x[i * ldx + j] for i = 0, 1, ... count - 1 in
+  /// order, j < n: bitwise what one `add` per row gives, in one call. The
+  /// clusterer adds a tile's rows to their clusters' sums with this.
+  void (*scatter_add)(const float* x, int64_t ldx, const int32_t* ids,
+                      int64_t count, float* y, int64_t n);
   /// C[m x n] (+)= A[m x k] * B[k x n]: the register-blocked FMA
   /// microkernel behind every GEMM (tensor/gemm.h). A's element (i, kk)
   /// is a[i * rs_a + kk * cs_a], so A and A^T layouts both stream without

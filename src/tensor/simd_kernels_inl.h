@@ -113,6 +113,85 @@ void ScaleImpl(float s, float* y, int64_t n) {
   for (; i < n; ++i) y[i] *= s;
 }
 
+// y[0, V * kWidth) += the listed rows of x, one row at a time, with the
+// V registers of running sums held across all rows. Lane arithmetic is
+// AddImpl's, in the same order, so the bits are those of one add per row.
+template <typename Ops, int V>
+void GatherAddColumns(const float* x, int64_t ldx, const int32_t* rows,
+                      int64_t count, float* y) {
+  using Reg = typename Ops::Reg;
+  constexpr int64_t kW = Ops::kWidth;
+  Reg acc[V];
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) acc[v] = Ops::Load(y + v * kW);
+  for (int64_t r = 0; r < count; ++r) {
+    const float* row = x + int64_t{rows[r]} * ldx;
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      acc[v] = Ops::Add(acc[v], Ops::Load(row + v * kW));
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) Ops::Store(y + v * kW, acc[v]);
+}
+
+// Registers of columns one pass over the rows keeps (64 floats on AVX2).
+constexpr int kGatherRegs = 8;
+
+template <typename Ops>
+void GatherAddImpl(const float* x, int64_t ldx, const int32_t* rows,
+                   int64_t count, float* y, int64_t n) {
+  constexpr int64_t kW = Ops::kWidth;
+  int64_t j = 0;
+  for (; j + kGatherRegs * kW <= n; j += kGatherRegs * kW) {
+    GatherAddColumns<Ops, kGatherRegs>(x + j, ldx, rows, count, y + j);
+  }
+  const int64_t full = (n - j) / kW;
+  const float* x_j = x + j;
+  float* y_j = y + j;
+  switch (full) {
+    case 7:
+      GatherAddColumns<Ops, 7>(x_j, ldx, rows, count, y_j);
+      break;
+    case 6:
+      GatherAddColumns<Ops, 6>(x_j, ldx, rows, count, y_j);
+      break;
+    case 5:
+      GatherAddColumns<Ops, 5>(x_j, ldx, rows, count, y_j);
+      break;
+    case 4:
+      GatherAddColumns<Ops, 4>(x_j, ldx, rows, count, y_j);
+      break;
+    case 3:
+      GatherAddColumns<Ops, 3>(x_j, ldx, rows, count, y_j);
+      break;
+    case 2:
+      GatherAddColumns<Ops, 2>(x_j, ldx, rows, count, y_j);
+      break;
+    case 1:
+      GatherAddColumns<Ops, 1>(x_j, ldx, rows, count, y_j);
+      break;
+    default:
+      break;
+  }
+  // Remainder lanes: one scalar running sum each, rows in the same order.
+  for (j += full * kW; j < n; ++j) {
+    float sum = y[j];
+    for (int64_t r = 0; r < count; ++r) sum += x[int64_t{rows[r]} * ldx + j];
+    y[j] = sum;
+  }
+}
+
+// One add per row, in row order, with AddImpl inlined: rows of one
+// cluster stay a chain of adds through y, so the bits are AddImpl's.
+template <typename Ops>
+void ScatterAddImpl(const float* x, int64_t ldx, const int32_t* ids,
+                    int64_t count, float* y, int64_t n) {
+  for (int64_t i = 0; i < count; ++i) {
+    AddImpl<Ops>(x + i * ldx, y + int64_t{ids[i]} * n, n);
+  }
+}
+
 // Rows of C per microkernel tile. 6 rows x 2 registers keeps 12
 // accumulators, the two B registers and one broadcast inside the 16
 // vector registers of AVX2.
@@ -378,6 +457,8 @@ Kernels MakeKernels(Isa isa, const char* name) {
   kernels.add = &AddImpl<Ops>;
   kernels.copy = &CopyImpl<Ops>;
   kernels.scale = &ScaleImpl<Ops>;
+  kernels.gather_add = &GatherAddImpl<Ops>;
+  kernels.scatter_add = &ScatterAddImpl<Ops>;
   kernels.gemm_block = &GemmBlockImpl<Ops>;
   kernels.project_signs = &ProjectSignsImpl<Ops>;
   return kernels;

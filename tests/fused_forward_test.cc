@@ -5,7 +5,8 @@
 // signatures, clusterings, hit decisions and outputs. Checked at every
 // compiled SIMD backend and thread count, with and without the
 // cluster-reuse cache, across tile/group boundary misalignment, on
-// degenerate shapes (N = 1, L = K, H at the sign-word boundary), with
+// degenerate shapes (N = 1, L = K, L > K, |C| = N, H at the sign-word
+// boundary), with
 // recycled buffers, and through ReuseConv2d.
 
 #include <gtest/gtest.h>
@@ -200,6 +201,7 @@ TEST(FusedForwardTest, MatchesReferenceOnDegenerateShapes) {
     ConvGeometry geo;
     int64_t l;
     int h;
+    bool every_row_a_cluster = false;
   };
   // One image whose 3x3 input meets a 3x3 kernel without padding: N = 1.
   ConvGeometry single_row = SingleTileGeometry(1);
@@ -208,10 +210,20 @@ TEST(FusedForwardTest, MatchesReferenceOnDegenerateShapes) {
   single_row.pad = 0;
   ASSERT_EQ(single_row.unfolded_rows(), 1);
   const ConvGeometry small = SingleTileGeometry(2);  // K = 27
+  // 8 images of 10x10 under an unpadded 3x3 kernel: N = 512 Gaussian
+  // rows, every sub-vector its own cluster at H = 64, so each block's
+  // signature table doubles from its first size up past 2N slots.
+  ConvGeometry distinct = SingleTileGeometry(8);
+  distinct.in_height = 10;
+  distinct.in_width = 10;
+  distinct.pad = 0;
   const Case cases[] = {
       {"N=1", single_row, 9, 8},
       // L = K: one block, K mod 8 = 3, so every hyperplane row is padded.
       {"L=K=27", small, 27, 12},
+      // L > K: clamped to one block of width K.
+      {"L=40>K", small, 40, 12},
+      {"|C|=N", distinct, 9, 64, /*every_row_a_cluster=*/true},
       // H = 64 fills the first sign word exactly; 65 spills one bit into
       // the second; 128 fills both.
       {"H=64", small, 9, 64},
@@ -231,6 +243,17 @@ TEST(FusedForwardTest, MatchesReferenceOnDegenerateShapes) {
     const Tensor bias = Tensor::RandomGaussian(Shape({5}), &rng);
     auto families = BlockLshFamilies::Create(k, c.l, c.h, 10);
     ASSERT_TRUE(families.ok()) << c.name;
+    if (c.l > k) {
+      ASSERT_EQ(families->num_blocks(), 1) << c.name;
+    }
+    if (c.every_row_a_cluster) {
+      Tensor cols(Shape({n, k}));
+      Im2Col(c.geo, input, &cols);
+      for (const SubMatrixClustering& block :
+           ClusterSubVectors(*families, cols.data(), n, n).blocks) {
+        ASSERT_EQ(block.clustering.num_clusters(), n) << c.name;
+      }
+    }
     for (const simd::Kernels* backend : Backends()) {
       simd::ScopedKernelsOverride override_backend(*backend);
       for (const int threads : {1, 4}) {

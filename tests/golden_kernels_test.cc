@@ -69,6 +69,62 @@ TEST(GoldenKernels, AddAndScaleMatchScalarBitwise) {
   }
 }
 
+// The cluster sums rely on gather_add and scatter_add giving exactly the
+// bits of one add per row, in row order, on every backend: the running
+// sums start from the destination and take each row in turn. Widths
+// straddle every register count and partial-register tail; row lists
+// repeat rows, and ids repeat clusters, both adjacent and far apart.
+TEST(GoldenKernels, GatherAndScatterAddMatchOneAddPerRowBitwise) {
+  constexpr int64_t kRows = 23;
+  Rng rng(902);
+  std::vector<int32_t> rows(40);
+  for (int32_t& r : rows) r = static_cast<int32_t>(rng.NextBounded(kRows));
+  rows[5] = rows[4];
+  std::vector<int32_t> ids(kRows);
+  for (int32_t& id : ids) id = static_cast<int32_t>(rng.NextBounded(6));
+  ids[1] = ids[0];
+  for (const simd::Kernels* backend : Backends()) {
+    for (const int64_t n : RemainderSizes()) {
+      const int64_t ldx = n + 3;  // rows not packed
+      const std::vector<float> x = RandomVector(kRows * ldx, 900 + n);
+      for (const int64_t count : {int64_t{0}, int64_t{1}, int64_t{7},
+                                  static_cast<int64_t>(rows.size())}) {
+        const std::vector<float> y0 = RandomVector(n + 2, 901 + n);
+        std::vector<float> expected = y0;
+        for (int64_t r = 0; r < count; ++r) {
+          for (int64_t j = 0; j < n; ++j) {
+            expected[static_cast<size_t>(j)] +=
+                x[static_cast<size_t>(rows[static_cast<size_t>(r)] * ldx +
+                                      j)];
+          }
+        }
+        std::vector<float> actual = y0;
+        backend->gather_add(x.data(), ldx, rows.data(), count, actual.data(),
+                            n);
+        ASSERT_EQ(std::memcmp(actual.data(), expected.data(),
+                              actual.size() * sizeof(float)),
+                  0)
+            << backend->name << " gather_add n=" << n << " count=" << count;
+      }
+
+      const std::vector<float> y0 = RandomVector(6 * n + 2, 903 + n);
+      std::vector<float> expected = y0;
+      for (int64_t i = 0; i < kRows; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          expected[static_cast<size_t>(ids[static_cast<size_t>(i)] * n + j)] +=
+              x[static_cast<size_t>(i * ldx + j)];
+        }
+      }
+      std::vector<float> actual = y0;
+      backend->scatter_add(x.data(), ldx, ids.data(), kRows, actual.data(), n);
+      ASSERT_EQ(std::memcmp(actual.data(), expected.data(),
+                            actual.size() * sizeof(float)),
+                0)
+          << backend->name << " scatter_add n=" << n;
+    }
+  }
+}
+
 TEST(GoldenKernels, CopyIsBitwiseExactAndLeavesTailUntouched) {
   // GatherHits in the cluster-reuse cache depends on copy being a pure
   // bitwise move on every backend.

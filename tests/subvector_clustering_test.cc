@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -268,6 +269,82 @@ TEST(StreamingClustererTest, MemberListsPartitionRowsInAscendingRuns) {
       EXPECT_EQ(clustering.blocks[b].clustering.members,
                 reference.blocks[b].clustering.members);
     }
+    clusterer.Recycle(std::move(clustering));
+  }
+}
+
+// Rows that copy one of `prototypes` random rows, plus noise far below
+// the hyperplane margins of most rows: about `prototypes` clusters per
+// block and group, with centroid sums over distinct rows.
+Tensor PrototypeRows(int64_t n, int64_t k, int64_t prototypes, Rng* rng) {
+  const Tensor protos = Tensor::RandomGaussian(Shape({prototypes, k}), rng);
+  Tensor x(Shape({n, k}));
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t p = static_cast<int64_t>(
+        rng->NextBounded(static_cast<uint64_t>(prototypes)));
+    for (int64_t j = 0; j < k; ++j) {
+      x.at(i, j) = protos.at(p, j) + 1e-4f * rng->NextGaussian();
+    }
+  }
+  return x;
+}
+
+TEST(StreamingClustererTest, TableGrowthMatchesReferenceAcrossCycles) {
+  // The signature tables start small and double as a group's cluster
+  // count grows. Tiles of 37 rows against groups of 50 or 100 rows put
+  // growth steps mid-tile and group resets mid-tile. The cycles reuse one
+  // clusterer, so tables grown by a many-cluster cycle serve later cycles
+  // with fewer clusters, and then grow again.
+  auto families = BlockLshFamilies::Create(12, 5, 24, 13);
+  ASSERT_TRUE(families.ok());
+  Rng rng(13);
+  StreamingSubVectorClusterer clusterer;
+  struct Cycle {
+    int64_t n;
+    int64_t rows_per_group;
+    int64_t prototypes;
+    int64_t grows_past;
+  };
+  for (const Cycle cycle :
+       {Cycle{200, 100, 60, 32}, Cycle{200, 50, 3, 0},
+        Cycle{600, 600, 500, 256}, Cycle{150, 50, 10, 0},
+        Cycle{1200, 1200, 1200, 512}}) {
+    SCOPED_TRACE("n=" + std::to_string(cycle.n) +
+                 " prototypes=" + std::to_string(cycle.prototypes));
+    const Tensor x = PrototypeRows(cycle.n, 12, cycle.prototypes, &rng);
+    constexpr int64_t kTileRows = 37;
+    clusterer.Begin(&*families, cycle.n, cycle.rows_per_group);
+    for (int64_t row = 0; row < cycle.n; row += kTileRows) {
+      clusterer.ConsumeTile(x.data() + row * 12, row,
+                            std::min(kTileRows, cycle.n - row));
+    }
+    ReuseClustering clustering = clusterer.Finish();
+    const ReuseClustering reference =
+        ClusterSubVectors(*families, x.data(), cycle.n, cycle.rows_per_group);
+    ASSERT_EQ(clustering.blocks.size(), reference.blocks.size());
+    int64_t most_clusters = 0;
+    for (size_t b = 0; b < clustering.blocks.size(); ++b) {
+      SCOPED_TRACE("block " + std::to_string(b));
+      const SubMatrixClustering& ab = clustering.blocks[b];
+      const SubMatrixClustering& rb = reference.blocks[b];
+      most_clusters = std::max(most_clusters, ab.clustering.num_clusters());
+      EXPECT_EQ(ab.clustering.assignment, rb.clustering.assignment);
+      EXPECT_EQ(ab.clustering.cluster_sizes, rb.clustering.cluster_sizes);
+      EXPECT_EQ(ab.clustering.members, rb.clustering.members);
+      ASSERT_EQ(ab.signatures.size(), rb.signatures.size());
+      for (size_t c = 0; c < ab.signatures.size(); ++c) {
+        EXPECT_TRUE(ab.signatures[c] == rb.signatures[c]) << "cluster " << c;
+      }
+      ASSERT_EQ(ab.centroids.shape(), rb.centroids.shape());
+      EXPECT_EQ(std::memcmp(ab.centroids.data(), rb.centroids.data(),
+                            sizeof(float) * static_cast<size_t>(
+                                                ab.centroids.num_elements())),
+                0);
+    }
+    // Some block averaged more clusters per group than `grows_past`, so
+    // its table (64 slots at first, doubled at load 1/2) had to grow.
+    EXPECT_GT(most_clusters / (cycle.n / cycle.rows_per_group),
+              cycle.grows_past);
     clusterer.Recycle(std::move(clustering));
   }
 }
