@@ -9,6 +9,7 @@
 #include "core/clustered_matmul.h"
 #include "core/complexity_model.h"
 #include "core/reuse_backward.h"
+#include "tensor/im2col.h"
 #include "util/csv_writer.h"
 #include "util/rng.h"
 
@@ -39,6 +40,13 @@ void Main() {
   }
   Tensor w = Tensor::RandomGaussian(Shape({k, m}), &rng);
   Tensor dy = Tensor::RandomGaussian(Shape({n, m}), &rng);
+  // The matrix goes through the convolution entries of both passes as n
+  // one-row images.
+  const ConvGeometry geo = MatrixGeometry(n, k);
+  Tensor y(Shape({n, m}));
+  Tensor grad_weight(Shape({k, m}));
+  Tensor grad_bias(Shape({m}));
+  Tensor grad_x(Shape({n, k}));
 
   PrintRow({"L", "H", "r_c", "fwd model", "fwd meas", "bwd model",
             "bwd meas"});
@@ -46,10 +54,16 @@ void Main() {
     for (int h : {4, 8, 16}) {
       auto families = BlockLshFamilies::Create(k, l, h, 99);
       ADR_CHECK(families.ok());
-      const ForwardReuseResult forward = ClusteredMatmulForward(
-          *families, x.data(), n, w, nullptr, n, nullptr);
-      const BackwardReuseResult backward =
-          ReuseBackward(forward.clustering, w, dy);
+      StreamingSubVectorClusterer clusterer;
+      ReuseClustering clustering;
+      ReuseLayerStats forward;
+      ClusteredForward(*families, geo, x.data(), w, nullptr, n, nullptr,
+                       /*arena=*/nullptr, &clusterer, y.data(), &clustering,
+                       &forward);
+      ReuseLayerStats backward;
+      ReuseBackwardInto(clustering, w, dy.data(), geo, /*arena=*/nullptr,
+                        grad_weight.data(), grad_bias.data(), grad_x.data(),
+                        &backward);
 
       ComplexityParams params;
       params.n = n;
@@ -57,12 +71,11 @@ void Main() {
       params.m = m;
       params.l = l;
       params.h = h;
-      params.rc = forward.stats.avg_remaining_ratio;
+      params.rc = forward.avg_remaining_ratio;
 
-      const double fwd_measured =
-          forward.stats.macs_executed / forward.stats.macs_baseline;
+      const double fwd_measured = forward.macs_executed / forward.macs_baseline;
       const double bwd_measured =
-          backward.stats.macs_executed / backward.stats.macs_baseline;
+          backward.macs_executed / backward.macs_baseline;
       const double fwd_model = ForwardRelativeCost(params);
       const double bwd_model = (WeightGradRelativeCost(params) +
                                 InputDeltaRelativeCost(params)) /

@@ -11,10 +11,10 @@
 #include <array>
 
 #include "bench_json_main.h"
-#include "core/clustered_matmul.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
+#include "tests/matrix_reuse.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -210,9 +210,8 @@ void BM_ClusteredForward(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    ForwardReuseResult result =
-        ClusteredMatmulForward(*families, x.data(), n, w, nullptr, n,
-                               nullptr);
+    MatrixForwardResult result =
+        MatrixForward(*families, x.data(), n, w, nullptr, n, nullptr);
     benchmark::DoNotOptimize(result.y_rows.data());
   }
   state.SetItemsProcessed(state.iterations() * n * k * m);

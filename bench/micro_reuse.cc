@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the reuse kernels themselves:
-// forward clustering+GEMM, backward reuse vs exact backward, the cluster
-// reuse cache, and exact dedup as the trivial baseline.
+// forward clustering+GEMM, backward reuse vs exact backward, and the
+// cluster reuse cache. Matrix workloads reach the reuse passes through
+// tests/matrix_reuse.h, i.e. under MatrixGeometry.
 //
 // Every benchmark takes the worker thread count as its first argument
 // (the "threads" column); compare threads=1 vs threads=4 rows to read
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "bench_json_main.h"
-#include "clustering/exact_dedup.h"
 #include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
 #include "core/reuse_conv2d.h"
@@ -25,6 +25,7 @@
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "tests/clustered_forward_reference.h"
+#include "tests/matrix_reuse.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -111,11 +112,11 @@ void BM_ReuseBackward(benchmark::State& state) {
     return;
   }
   const ReuseClustering clustering =
-      ClusteredMatmulForward(*families, wl.x.data(), Workload::kN, wl.w,
-                             nullptr, Workload::kN, nullptr)
+      MatrixForward(*families, wl.x.data(), Workload::kN, wl.w, nullptr,
+                    Workload::kN, nullptr)
           .clustering;
   for (auto _ : state) {
-    BackwardReuseResult result = ReuseBackward(clustering, wl.w, wl.dy);
+    MatrixBackwardResult result = MatrixBackward(clustering, wl.w, wl.dy);
     benchmark::DoNotOptimize(result.grad_weight.data());
   }
   // Items = the dense work replaced, so throughput shows effective gain.
@@ -263,8 +264,8 @@ void BM_ClusterOnly(benchmark::State& state, ClusterRows (*source)()) {
     state.SkipWithError(families.status().ToString().c_str());
     return;
   }
-  // The clustering phase of ClusteredForward over a matrix source: L2-sized
-  // row tiles through the production clusterer, buffers recycled.
+  // The clustering phase of ClusteredForward, fed from an unfolded matrix:
+  // L2-sized row tiles through the production clusterer, buffers recycled.
   StreamingSubVectorClusterer clusterer;
   const int64_t tile_rows = L2TileRows(rows.k);
   for (auto _ : state) {
@@ -298,10 +299,10 @@ void BM_ClusterReuseCacheWarm(benchmark::State& state) {
   }
   ClusterReuseCache cache;
   // Warm the cache once; steady state then reuses everything.
-  ClusteredMatmulForward(*families, wl.x.data(), Workload::kN, wl.w,
-                         nullptr, Workload::kN, &cache);
+  MatrixForward(*families, wl.x.data(), Workload::kN, wl.w, nullptr,
+                Workload::kN, &cache);
   for (auto _ : state) {
-    ForwardReuseResult result = ClusteredMatmulForward(
+    MatrixForwardResult result = MatrixForward(
         *families, wl.x.data(), Workload::kN, wl.w, nullptr, Workload::kN,
         &cache);
     benchmark::DoNotOptimize(result.y_rows.data());
@@ -323,7 +324,7 @@ void BM_ClusteredForwardCROff(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    ForwardReuseResult result = ClusteredMatmulForward(
+    MatrixForwardResult result = MatrixForward(
         *families, wl.x.data(), Workload::kN, wl.w, nullptr, Workload::kN,
         nullptr);
     benchmark::DoNotOptimize(result.y_rows.data());
@@ -435,9 +436,9 @@ void BM_ClusterCacheInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterCacheInsert)->Apply(ThreadsOnlyArgs);
 
-// Conv-shaped workload comparing the driver's two row sources: a
-// spatially periodic image (period 4) whose interior im2col rows repeat,
-// scaled per image (signatures are scale-invariant, so clusters recur).
+// Conv-shaped workload for the layer's forward: a spatially periodic
+// image (period 4) whose interior im2col rows repeat, scaled per image
+// (signatures are scale-invariant, so clusters recur).
 // K = 16*5*5 = 400 matches the flat Workload, N = 8*16*16 = 2048.
 struct ConvWorkload {
   ConvGeometry geo;
@@ -480,46 +481,8 @@ ConvWorkload& SharedConvWorkload() {
   return *workload;
 }
 
-// Matrix source: im2col the whole batch into the arena, then the driver
-// reads it in place — the data flow of the exact-backward ablation.
-void BM_MaterializedClusteredForward(benchmark::State& state) {
-  SetupThreads(state);
-  ConvWorkload& wl = SharedConvWorkload();
-  const int64_t l = state.range(1);
-  const int h = static_cast<int>(state.range(2));
-  const int64_t n = wl.geo.unfolded_rows();
-  const int64_t k = wl.geo.unfolded_cols();
-  auto families = BlockLshFamilies::Create(k, l, h, 5);
-  if (!families.ok()) {
-    state.SkipWithError(families.status().ToString().c_str());
-    return;
-  }
-  WorkspaceArena arena;
-  StreamingSubVectorClusterer clusterer;
-  for (auto _ : state) {
-    arena.Reset();
-    float* cols = arena.AllocFloats(n * k);
-    Im2Col(wl.geo, wl.input.data(), cols);
-    float* y = arena.AllocFloats(n * ConvWorkload::kM);
-    ReuseClustering clustering;
-    ReuseLayerStats stats;
-    ClusteredForward(*families, ForwardRows::Matrix(cols, n), wl.w, nullptr,
-                     n, nullptr, &arena, &clusterer, y, &clustering, &stats);
-    benchmark::DoNotOptimize(y);
-    clusterer.Recycle(std::move(clustering));
-  }
-  state.counters["peak_workspace_bytes"] =
-      static_cast<double>(arena.reserved_bytes());
-  state.SetItemsProcessed(state.iterations() * n * k * ConvWorkload::kM);
-}
-BENCHMARK(BM_MaterializedClusteredForward)
-    ->Apply([](benchmark::internal::Benchmark* b) {
-      ThreadsLHArgs(b, {{100, 8}, {25, 12}});
-    });
-
-// Unfold source on the identical workload: im2col rows stream straight
-// into hashing, the N x K matrix never exists. Same bits out (see
-// fused_forward_test), far smaller peak_workspace_bytes.
+// The layer's forward data flow on a conv workload: im2col rows stream
+// straight into hashing, the N x K matrix never exists.
 void BM_FusedClusteredForward(benchmark::State& state) {
   SetupThreads(state);
   ConvWorkload& wl = SharedConvWorkload();
@@ -539,9 +502,8 @@ void BM_FusedClusteredForward(benchmark::State& state) {
     float* y = arena.AllocFloats(n * ConvWorkload::kM);
     ReuseClustering clustering;
     ReuseLayerStats stats;
-    ClusteredForward(*families, ForwardRows::Unfold(wl.geo, wl.input.data()),
-                     wl.w, nullptr, n, nullptr, &arena, &clusterer, y,
-                     &clustering, &stats);
+    ClusteredForward(*families, wl.geo, wl.input.data(), wl.w, nullptr, n,
+                     nullptr, &arena, &clusterer, y, &clustering, &stats);
     benchmark::DoNotOptimize(y);
     clusterer.Recycle(std::move(clustering));
   }
@@ -553,19 +515,6 @@ BENCHMARK(BM_FusedClusteredForward)
     ->Apply([](benchmark::internal::Benchmark* b) {
       ThreadsLHArgs(b, {{100, 8}, {25, 12}});
     });
-
-void BM_ExactDedup(benchmark::State& state) {
-  SetupThreads(state);
-  Workload& wl = SharedWorkload();
-  for (auto _ : state) {
-    Clustering clustering =
-        ExactDedupRows(wl.x.data(), Workload::kN, Workload::kK,
-                       Workload::kK);
-    benchmark::DoNotOptimize(clustering.assignment.data());
-  }
-  state.SetItemsProcessed(state.iterations() * Workload::kN * Workload::kK);
-}
-BENCHMARK(BM_ExactDedup)->Apply(ThreadsOnlyArgs);
 
 }  // namespace
 }  // namespace adr

@@ -35,6 +35,11 @@ int main(int argc, char** argv) {
                  flags.Usage(argv[0]).c_str());
     return 1;
   }
+  if (threads < 0 || threads > ThreadPool::kMaxThreads) {
+    std::fprintf(stderr, "--threads must be in [0, %d]\n%s",
+                 ThreadPool::kMaxThreads, flags.Usage(argv[0]).c_str());
+    return 1;
+  }
   if (threads > 0) ThreadPool::SetGlobalThreads(static_cast<int>(threads));
   std::printf("using %d thread(s)\n", ThreadPool::GlobalThreads());
 

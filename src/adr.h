@@ -13,7 +13,6 @@
 #ifndef ADR_ADR_H_
 #define ADR_ADR_H_
 
-#include "clustering/exact_dedup.h"
 #include "clustering/kmeans.h"
 #include "clustering/lsh.h"
 #include "core/adaptive_controller.h"
@@ -26,14 +25,10 @@
 #include "core/reuse_report.h"
 #include "core/strategies.h"
 #include "core/subvector_clustering.h"
-#include "data/augment.h"
 #include "data/dataloader.h"
 #include "data/synthetic_images.h"
 #include "models/models.h"
 #include "nn/checkpoint.h"
-#include "nn/gradient_clip.h"
-#include "nn/lr_schedule.h"
-#include "nn/metrics.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"

@@ -119,12 +119,4 @@ Clustering ClusterBySignature(const std::vector<LshSignature>& row_signatures,
   return clustering;
 }
 
-Clustering LshCluster(const LshFamily& family, const float* data,
-                      int64_t num_rows, int64_t row_stride,
-                      std::vector<LshSignature>* signatures_out) {
-  std::vector<LshSignature> sigs;
-  family.HashRows(data, num_rows, row_stride, &sigs);
-  return ClusterBySignature(sigs, signatures_out);
-}
-
 }  // namespace adr

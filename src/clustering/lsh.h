@@ -116,11 +116,6 @@ class LshFamily {
 Clustering ClusterBySignature(const std::vector<LshSignature>& row_signatures,
                               std::vector<LshSignature>* signatures_out);
 
-/// \brief Convenience: hash + group rows of an N x L matrix (stride = L).
-Clustering LshCluster(const LshFamily& family, const float* data,
-                      int64_t num_rows, int64_t row_stride,
-                      std::vector<LshSignature>* signatures_out = nullptr);
-
 }  // namespace adr
 
 #endif  // ADR_CLUSTERING_LSH_H_

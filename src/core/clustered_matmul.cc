@@ -164,14 +164,15 @@ void FinishForwardFromClustering(ReuseClustering* clustering,
 }  // namespace
 
 void ClusteredForward(const BlockLshFamilies& families,
-                      const ForwardRows& rows, const Tensor& weight,
-                      const Tensor* bias, int64_t rows_per_group,
-                      ClusterReuseCache* cache, WorkspaceArena* arena,
+                      const ConvGeometry& geo, const float* input,
+                      const Tensor& weight, const Tensor* bias,
+                      int64_t rows_per_group, ClusterReuseCache* cache,
+                      WorkspaceArena* arena,
                       StreamingSubVectorClusterer* clusterer, float* y,
                       ReuseClustering* clustering, ReuseLayerStats* stats) {
-  const int64_t n = rows.num_rows;
+  const int64_t n = geo.unfolded_rows();
   const int64_t k = families.k();
-  ADR_CHECK(!rows.unfold || rows.geo.unfolded_cols() == k);
+  ADR_CHECK_EQ(geo.unfolded_cols(), k);
   ADR_CHECK_EQ(weight.shape().rank(), 2);
   ADR_CHECK_EQ(weight.shape()[0], k);
   ADR_CHECK(clusterer != nullptr);
@@ -181,24 +182,20 @@ void ClusteredForward(const BlockLshFamilies& families,
   Timer timer;
   ScratchAllocator scratch(arena);
 
-  // 1. Stream L2-sized row tiles through hash + cluster. An unfolded tile
-  // is generated in parallel over row sub-ranges; a matrix tile is read
-  // in place. ConsumeTile hashes a tile's rows in parallel row chunks.
+  // 1. Stream L2-sized row tiles through hash + cluster. Each tile is
+  // unfolded in parallel over row sub-ranges; ConsumeTile hashes its rows
+  // in parallel row chunks.
   {
     ADR_TRACE_SPAN("lsh_cluster");
     clusterer->Begin(&families, n, rows_per_group);
     const int64_t tile_rows = L2TileRows(k);
-    float* tile = rows.unfold ? scratch.Floats(tile_rows * k) : nullptr;
+    float* tile = scratch.Floats(tile_rows * k);
     for (int64_t row = 0; row < n; row += tile_rows) {
       const int64_t count = std::min(tile_rows, n - row);
-      if (rows.unfold) {
-        ParallelFor(count, 32, [&](int64_t begin, int64_t end) {
-          Im2ColRows(rows.geo, rows.data, row + begin, row + end,
-                     tile + begin * k);
-        });
-      }
-      clusterer->ConsumeTile(rows.unfold ? tile : rows.data + row * k, row,
-                             count);
+      ParallelFor(count, 32, [&](int64_t begin, int64_t end) {
+        Im2ColRows(geo, input, row + begin, row + end, tile + begin * k);
+      });
+      clusterer->ConsumeTile(tile, row, count);
     }
     *clustering = clusterer->Finish();
   }
@@ -210,21 +207,6 @@ void ClusteredForward(const BlockLshFamilies& families,
                               families.family(0).num_hashes(), &scratch, y,
                               stats);
   stats->gemm_seconds = timer.ElapsedSeconds();
-}
-
-ForwardReuseResult ClusteredMatmulForward(const BlockLshFamilies& families,
-                                          const float* x, int64_t num_rows,
-                                          const Tensor& weight,
-                                          const Tensor* bias,
-                                          int64_t rows_per_group,
-                                          ClusterReuseCache* cache) {
-  ForwardReuseResult result;
-  result.y_rows = Tensor(Shape({num_rows, weight.shape()[1]}));
-  StreamingSubVectorClusterer clusterer;
-  ClusteredForward(families, ForwardRows::Matrix(x, num_rows), weight, bias,
-                   rows_per_group, cache, /*arena=*/nullptr, &clusterer,
-                   result.y_rows.data(), &result.clustering, &result.stats);
-  return result;
 }
 
 }  // namespace adr

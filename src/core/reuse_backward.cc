@@ -173,35 +173,4 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
   stats->macs_baseline = 2.0 * static_cast<double>(n) * k * m;
 }
 
-BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
-                                  const Tensor& weight, const Tensor& dy) {
-  const int64_t n = clustering.num_rows;
-  const int64_t k = clustering.num_cols;
-  ADR_CHECK_EQ(weight.shape().rank(), 2);
-  const int64_t m = weight.shape()[1];
-  ADR_CHECK(dy.shape() == Shape({n, m}));
-
-  // The unfolded matrix as N one-channel 1 x K images under a 1 x K
-  // kernel: one output pixel per image, so row i folds onto image i
-  // unchanged, in one contiguous run of K floats.
-  ConvGeometry rows;
-  rows.batch = n;
-  rows.in_channels = 1;
-  rows.in_height = 1;
-  rows.in_width = k;
-  rows.kernel_h = 1;
-  rows.kernel_w = k;
-  rows.stride = 1;
-  rows.pad = 0;
-
-  BackwardReuseResult result;
-  result.grad_weight = Tensor(Shape({k, m}));
-  result.grad_bias = Tensor(Shape({m}));
-  result.grad_x = Tensor(Shape({n, k}));
-  ReuseBackwardInto(clustering, weight, dy.data(), rows, /*arena=*/nullptr,
-                    result.grad_weight.data(), result.grad_bias.data(),
-                    result.grad_x.data(), &result.stats);
-  return result;
-}
-
 }  // namespace adr

@@ -15,16 +15,6 @@
 
 namespace adr {
 
-/// \brief Result of the reuse backward pass.
-struct BackwardReuseResult {
-  Tensor grad_weight;  ///< [K, M]
-  Tensor grad_bias;    ///< [M]
-  Tensor grad_x;       ///< [N, K] gradient w.r.t. the unfolded input
-  /// This call's record: backward_seconds, and MACs against the
-  /// 2 * N * K * M of the exact backward.
-  ReuseLayerStats stats;
-};
-
 /// \brief Computes the paper's approximate backward pass.
 ///
 /// Per column block I:
@@ -40,14 +30,10 @@ struct BackwardReuseResult {
 /// depend on the thread count. tests/reuse_backward_reference.h writes
 /// the same order out serially.
 ///
-/// This allocating form returns the unfolded N x K grad_x: it runs the
-/// fold of ReuseBackwardInto over N one-channel 1 x K images under a
-/// 1 x K kernel, a geometry under which col2im is the identity.
-BackwardReuseResult ReuseBackward(const ReuseClustering& clustering,
-                                  const Tensor& weight, const Tensor& dy);
-
-/// \brief The reuse backward of a convolution with geometry `geo`, into
-/// caller-owned buffers. `dy` is N x M; `grad_weight` ([K, M]),
+/// This is the reuse backward of a convolution with geometry `geo`, into
+/// caller-owned buffers; a caller holding the N x K matrix passes
+/// MatrixGeometry(N, K), and grad_input is then the N x K unfolded
+/// delta. `dy` is N x M; `grad_weight` ([K, M]),
 /// `grad_bias` ([M]) and `grad_input` ([Nb, Ic, Ih, Iw]) are fully
 /// overwritten. Scratch (the cluster sums, every block's dx_c and one
 /// L2-sized row tile per fold group) bumps from `arena`, or from the heap

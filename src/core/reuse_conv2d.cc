@@ -137,8 +137,8 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
 
   // The N x K unfolded input exists only where something reads it whole:
   // the dense GEMM and the exact backward (which keeps it, arena-owned,
-  // for Backward). Every other forward unfolds tile by tile inside
-  // ClusteredForward.
+  // for Backward). The clustered forward always unfolds tile by tile
+  // inside ClusteredForward, also when the exact backward keeps `cols`.
   float* cols = nullptr;
   if (!reuse_.enabled || (training && exact_backward_)) {
     cols = arena_.AllocFloats(n * k);
@@ -163,13 +163,10 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
     const int64_t rows_per_group =
         reuse_.scope == ClusterScope::kSingleInput ? geo.rows_per_image()
                                                    : n;
-    const ForwardRows rows = cols != nullptr
-                                 ? ForwardRows::Matrix(cols, n)
-                                 : ForwardRows::Unfold(geo, input.data());
     ReuseClustering clustering;
-    ClusteredForward(families_, rows, weight_, &bias_, rows_per_group,
-                     cache_.get(), &arena_, &clusterer_, y, &clustering,
-                     &call);
+    ClusteredForward(families_, geo, input.data(), weight_, &bias_,
+                     rows_per_group, cache_.get(), &arena_, &clusterer_, y,
+                     &clustering, &call);
     if (training) {
       cached_clustering_ = std::move(clustering);
     } else {

@@ -1,6 +1,7 @@
 #include "tensor/im2col.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "util/parallel.h"
@@ -33,6 +34,10 @@ Status ConvGeometry::Validate() const {
 }
 
 namespace {
+
+// Im2ColRows copies a run of at least this many valid taps with memcpy;
+// shorter runs (conv kernel rows) copy faster inline.
+constexpr int64_t kMemcpyTaps = 32;
 
 // Row decoding shared by Im2ColRows and Col2ImRows: walks rows
 // [row_begin, row_end) as (n, oy, ox) and hands each to `fn` together
@@ -90,6 +95,12 @@ void Im2ColRows(const ConvGeometry& geo, const float* input,
         const int64_t base = y * iw + x0;
         int64_t kx = 0;
         for (; kx < kx_lo; ++kx) dst[kx] = 0.0f;
+        if (kx_hi - kx_lo >= kMemcpyTaps) {
+          // A wide run (a MatrixGeometry row is one K-float run).
+          std::memcpy(dst + kx_lo, chan + (base + kx_lo),
+                      sizeof(float) * static_cast<size_t>(kx_hi - kx_lo));
+          kx = kx_hi;
+        }
         for (; kx < kx_hi; ++kx) dst[kx] = chan[base + kx];
         for (; kx < kw; ++kx) dst[kx] = 0.0f;
       }
@@ -117,6 +128,17 @@ void Im2Col(const ConvGeometry& geo, const float* input, float* out) {
     Im2ColRows(geo, input, n_begin * rows_per_image, n_end * rows_per_image,
                out + n_begin * rows_per_image * k_cols);
   });
+}
+
+ConvGeometry MatrixGeometry(int64_t num_rows, int64_t num_cols) {
+  ConvGeometry geo;
+  geo.batch = num_rows;
+  geo.in_channels = 1;
+  geo.in_height = 1;
+  geo.in_width = num_cols;
+  geo.kernel_h = 1;
+  geo.kernel_w = num_cols;
+  return geo;
 }
 
 int64_t L2TileRows(int64_t row_width) {

@@ -47,6 +47,14 @@ struct ConvGeometry {
   Status Validate() const;
 };
 
+/// \brief The geometry that presents a row-major `num_rows` x `num_cols`
+/// matrix as a convolution input: `num_rows` one-channel 1 x `num_cols`
+/// images under a 1 x `num_cols` kernel. Each image has one output pixel,
+/// so im2col copies row i unchanged and col2im folds it back unchanged.
+/// Callers of the reuse passes that hold a matrix rather than an image
+/// batch use it.
+ConvGeometry MatrixGeometry(int64_t num_rows, int64_t num_cols);
+
 /// \brief Unfolds `input` (shape [Nb, Ic, Ih, Iw]) into `out` (shape
 /// [N, K]); `out` must be pre-shaped.
 void Im2Col(const ConvGeometry& geo, const Tensor& input, Tensor* out);

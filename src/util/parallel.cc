@@ -125,12 +125,13 @@ int ThreadPool::DefaultThreads() {
   if (const char* env = std::getenv("ADR_THREADS")) {
     char* end = nullptr;
     const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
+    // The range check also rejects strtol's saturated LONG_MAX on overflow.
+    if (end != env && *end == '\0' && parsed > 0 && parsed <= kMaxThreads) {
       return static_cast<int>(parsed);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return hw > 0 ? static_cast<int>(std::min<unsigned>(hw, kMaxThreads)) : 1;
 }
 
 ThreadPool* ThreadPool::Global() {

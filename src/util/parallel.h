@@ -63,8 +63,13 @@ class ThreadPool {
   /// side effects beyond the first call.
   static int GlobalThreads();
 
-  /// \brief ADR_THREADS if set to a positive integer, else
-  /// hardware_concurrency(), else 1.
+  /// \brief The most threads a thread count from the environment or
+  /// the command line may ask for. A larger request is invalid rather than
+  /// an attempt to start that many OS threads.
+  static constexpr int kMaxThreads = 256;
+
+  /// \brief ADR_THREADS if set to an integer in [1, kMaxThreads], else
+  /// hardware_concurrency() capped at kMaxThreads, else 1.
   static int DefaultThreads();
 
  private:

@@ -1,103 +1,14 @@
-// Tests for data augmentation, the cache eviction policy, and optimizer
-// weight decay.
+// Tests for the cache eviction policy and optimizer weight decay.
 
 #include <gtest/gtest.h>
 
-#include "core/clustered_matmul.h"
-#include "data/augment.h"
+#include "core/cluster_cache.h"
 #include "nn/optimizer.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace adr {
 namespace {
-
-TEST(AugmentTest, FlipHorizontalReversesRows) {
-  // 1 channel, 2x3: rows [1 2 3; 4 5 6] -> [3 2 1; 6 5 4].
-  float image[6] = {1, 2, 3, 4, 5, 6};
-  FlipHorizontal(image, 1, 2, 3);
-  EXPECT_EQ(image[0], 3);
-  EXPECT_EQ(image[2], 1);
-  EXPECT_EQ(image[3], 6);
-  EXPECT_EQ(image[5], 4);
-}
-
-TEST(AugmentTest, DoubleFlipIsIdentity) {
-  Rng rng(1);
-  Tensor image = Tensor::RandomGaussian(Shape({3, 4, 5}), &rng);
-  Tensor copy = image;
-  FlipHorizontal(image.data(), 3, 4, 5);
-  FlipHorizontal(image.data(), 3, 4, 5);
-  EXPECT_EQ(MaxAbsDiff(image, copy), 0.0f);
-}
-
-TEST(AugmentTest, ShiftMovesAndZeroFills) {
-  // 1x2x2 image [1 2; 3 4], shift down-right by (1, 1).
-  float image[4] = {1, 2, 3, 4};
-  ShiftImage(image, 1, 2, 2, 1, 1);
-  EXPECT_EQ(image[0], 0.0f);  // vacated
-  EXPECT_EQ(image[1], 0.0f);
-  EXPECT_EQ(image[2], 0.0f);
-  EXPECT_EQ(image[3], 1.0f);  // old (0,0) lands at (1,1)
-}
-
-TEST(AugmentTest, ZeroShiftIsNoOp) {
-  Rng rng(2);
-  Tensor image = Tensor::RandomGaussian(Shape({2, 3, 3}), &rng);
-  Tensor copy = image;
-  ShiftImage(image.data(), 2, 3, 3, 0, 0);
-  EXPECT_EQ(MaxAbsDiff(image, copy), 0.0f);
-}
-
-TEST(AugmentTest, BatchAugmentationIsDeterministic) {
-  Rng data_rng(3);
-  Batch a, b;
-  a.images = Tensor::RandomGaussian(Shape({4, 3, 8, 8}), &data_rng);
-  a.labels = {0, 1, 2, 3};
-  b.images = a.images;
-  b.labels = a.labels;
-  AugmentConfig config;
-  config.flip_probability = 0.5f;
-  config.crop_padding = 2;
-  config.brightness_jitter = 0.1f;
-  Rng rng_a(7), rng_b(7);
-  AugmentBatch(config, &rng_a, &a);
-  AugmentBatch(config, &rng_b, &b);
-  EXPECT_EQ(MaxAbsDiff(a.images, b.images), 0.0f);
-}
-
-TEST(AugmentTest, DisabledConfigLeavesBatchUntouched) {
-  Rng data_rng(4);
-  Batch batch;
-  batch.images = Tensor::RandomGaussian(Shape({2, 3, 6, 6}), &data_rng);
-  batch.labels = {0, 1};
-  Tensor copy = batch.images;
-  AugmentConfig config;
-  config.flip_probability = 0.0f;
-  config.crop_padding = 0;
-  config.brightness_jitter = 0.0f;
-  Rng rng(5);
-  AugmentBatch(config, &rng, &batch);
-  EXPECT_EQ(MaxAbsDiff(batch.images, copy), 0.0f);
-}
-
-TEST(AugmentTest, BrightnessJitterShiftsUniformly) {
-  Batch batch;
-  batch.images = Tensor(Shape({1, 1, 2, 2}));
-  batch.labels = {0};
-  AugmentConfig config;
-  config.flip_probability = 0.0f;
-  config.brightness_jitter = 0.5f;
-  Rng rng(6);
-  AugmentBatch(config, &rng, &batch);
-  // All four pixels share the same shift.
-  const float shift = batch.images.at(0);
-  EXPECT_NE(shift, 0.0f);
-  for (int64_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(batch.images.at(i), shift);
-  }
-  EXPECT_LE(std::abs(shift), 0.5f);
-}
 
 TEST(CacheEvictionTest, EvictsUntouchedOldestBeyondCap) {
   // With no intervening hits, second-chance degenerates to FIFO: the

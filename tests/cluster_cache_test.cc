@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "core/cluster_cache.h"
-#include "core/clustered_matmul.h"
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
 #include "kernel_harness.h"
 #include "tests/clustered_forward_reference.h"
+#include "tests/matrix_reuse.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
@@ -110,7 +110,7 @@ TEST(ClusterCacheDifferentialTest, MatchesReferenceMapBitExactly) {
         for (int batch = 0; batch < kBatches; ++batch) {
           const int64_t evictions_before = cache.evictions();
           const Tensor x = PrototypeBatch(kN, kK, batch, &data_rng);
-          const ForwardReuseResult ours = ClusteredMatmulForward(
+          const MatrixForwardResult ours = MatrixForward(
               *families, x.data(), kN, w, &bias, kN, &cache);
           const ReferenceForwardResult expected = ReferenceForward(
               *families, x.data(), kN, w, &bias, kN, &reference);

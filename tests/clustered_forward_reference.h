@@ -22,9 +22,9 @@
 //     compact GEMM over the misses, and one InsertBatch per block.
 //
 // fused_forward_test and cluster_cache_test require the production
-// forward, with either row source, to match ReferenceForward bitwise: y,
-// signatures, clusterings, hit decisions, counters, evictions, entries
-// and resident bytes.
+// forward, on a conv input or on a matrix under MatrixGeometry, to match
+// ReferenceForward bitwise: y, signatures, clusterings, hit decisions,
+// counters, evictions, entries and resident bytes.
 
 #ifndef ADR_TESTS_CLUSTERED_FORWARD_REFERENCE_H_
 #define ADR_TESTS_CLUSTERED_FORWARD_REFERENCE_H_

@@ -1,8 +1,9 @@
-// Tests for ClusteredMatmulForward and the Algorithm-1 cluster reuse cache.
+// Tests for ClusteredForward over a matrix and the Algorithm-1 cluster
+// reuse cache.
 
 #include <gtest/gtest.h>
 
-#include "core/clustered_matmul.h"
+#include "tests/matrix_reuse.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -32,7 +33,7 @@ TEST(ClusteredMatmulTest, ExactWhenRowsIdentical) {
   Tensor w = Tensor::RandomGaussian(Shape({8, 5}), &rng);
   Tensor bias = Tensor::RandomGaussian(Shape({5}), &rng);
 
-  const ForwardReuseResult result = ClusteredMatmulForward(
+  const MatrixForwardResult result = MatrixForward(
       *families, x.data(), 16, w, &bias, 16, nullptr);
   const Tensor expected = DenseReference(x, w, &bias);
   EXPECT_TRUE(AllClose(result.y_rows, expected, 1e-4f, 1e-5f));
@@ -49,7 +50,7 @@ TEST(ClusteredMatmulTest, ExactWhenAllSingletons) {
   Tensor x = Tensor::RandomGaussian(Shape({12, 6}), &rng);
   Tensor w = Tensor::RandomGaussian(Shape({6, 4}), &rng);
 
-  const ForwardReuseResult result = ClusteredMatmulForward(
+  const MatrixForwardResult result = MatrixForward(
       *families, x.data(), 12, w, nullptr, 12, nullptr);
   if (result.stats.clusters_total == 12) {  // no accidental collisions
     const Tensor expected = DenseReference(x, w, nullptr);
@@ -73,7 +74,7 @@ TEST(ClusteredMatmulTest, ApproximatesWithNoisyDuplicates) {
     }
   }
   Tensor w = Tensor::RandomGaussian(Shape({16, 8}), &rng);
-  const ForwardReuseResult result = ClusteredMatmulForward(
+  const MatrixForwardResult result = MatrixForward(
       *families, x.data(), n, w, nullptr, n, nullptr);
   const Tensor expected = DenseReference(x, w, nullptr);
   EXPECT_LT(MaxAbsDiff(result.y_rows, expected), 0.05f);
@@ -87,7 +88,7 @@ TEST(ClusteredMatmulTest, StatsAccounting) {
   Rng rng(4);
   Tensor x = Tensor::RandomGaussian(Shape({32, 8}), &rng);
   Tensor w = Tensor::RandomGaussian(Shape({8, 10}), &rng);
-  const ForwardReuseResult result = ClusteredMatmulForward(
+  const MatrixForwardResult result = MatrixForward(
       *families, x.data(), 32, w, nullptr, 32, nullptr);
   EXPECT_EQ(result.stats.forward_calls, 1);
   EXPECT_DOUBLE_EQ(result.stats.macs_baseline, 32.0 * 8 * 10);
@@ -158,10 +159,10 @@ TEST(ClusteredMatmulTest, SecondIdenticalBatchFullyReused) {
   Tensor w = Tensor::RandomGaussian(Shape({10, 6}), &rng);
   ClusterReuseCache cache;
 
-  const ForwardReuseResult first = ClusteredMatmulForward(
+  const MatrixForwardResult first = MatrixForward(
       *families, x.data(), 24, w, nullptr, 24, &cache);
   EXPECT_EQ(first.stats.clusters_reused, 0);
-  const ForwardReuseResult second = ClusteredMatmulForward(
+  const MatrixForwardResult second = MatrixForward(
       *families, x.data(), 24, w, nullptr, 24, &cache);
   EXPECT_EQ(second.stats.clusters_reused, second.stats.clusters_total);
   EXPECT_DOUBLE_EQ(second.stats.last_batch_reuse_rate, 1.0);
@@ -180,10 +181,10 @@ TEST(ClusteredMatmulTest, CacheServesStaleOutputsAfterWeightChange) {
   Tensor x = Tensor::RandomGaussian(Shape({8, 4}), &rng);
   Tensor w = Tensor::RandomGaussian(Shape({4, 3}), &rng);
   ClusterReuseCache cache;
-  const ForwardReuseResult first = ClusteredMatmulForward(
+  const MatrixForwardResult first = MatrixForward(
       *families, x.data(), 8, w, nullptr, 8, &cache);
   ScaleInPlace(2.0f, &w);  // change the weights
-  const ForwardReuseResult second = ClusteredMatmulForward(
+  const MatrixForwardResult second = MatrixForward(
       *families, x.data(), 8, w, nullptr, 8, &cache);
   // Outputs are the stale cached ones, not the doubled ones.
   EXPECT_TRUE(AllClose(second.y_rows, first.y_rows));
@@ -201,8 +202,8 @@ TEST(ClusteredMatmulTest, PartialReuseAcrossOverlappingBatches) {
   }
   Tensor w = Tensor::RandomGaussian(Shape({4, 3}), &rng);
   ClusterReuseCache cache;
-  ClusteredMatmulForward(*families, batch1.data(), 8, w, nullptr, 8, &cache);
-  const ForwardReuseResult second = ClusteredMatmulForward(
+  MatrixForward(*families, batch1.data(), 8, w, nullptr, 8, &cache);
+  const MatrixForwardResult second = MatrixForward(
       *families, batch2.data(), 8, w, nullptr, 8, &cache);
   EXPECT_GT(second.stats.clusters_reused, 0);
   EXPECT_LT(second.stats.clusters_reused, second.stats.clusters_total);
@@ -215,12 +216,12 @@ TEST(ClusteredMatmulTest, SingleInputScopeMatchesGroupedClustering) {
   Tensor x = Tensor::RandomGaussian(Shape({12, 6}), &rng);
   Tensor w = Tensor::RandomGaussian(Shape({6, 4}), &rng);
   // rows_per_group = 4 simulates 3 images of 4 rows each.
-  const ForwardReuseResult result = ClusteredMatmulForward(
+  const MatrixForwardResult result = MatrixForward(
       *families, x.data(), 12, w, nullptr, 4, nullptr);
   EXPECT_EQ(result.y_rows.shape(), Shape({12, 4}));
   // Single-input clustering can only have more (or equal) clusters than
   // single-batch.
-  const ForwardReuseResult batch_scope = ClusteredMatmulForward(
+  const MatrixForwardResult batch_scope = MatrixForward(
       *families, x.data(), 12, w, nullptr, 12, nullptr);
   EXPECT_GE(result.stats.clusters_total, batch_scope.stats.clusters_total);
 }

@@ -1,13 +1,12 @@
-// Differential tests for the LSH forward driver, ClusteredForward. With
-// either row source (an NCHW input unfolded tile by tile, or the
-// materialized Im2Col matrix read in place) it must be bit-identical to
-// ReferenceForward (tests/clustered_forward_reference.h): same
-// signatures, clusterings, hit decisions and outputs. Checked at every
-// compiled SIMD backend and thread count, with and without the
-// cluster-reuse cache, across tile/group boundary misalignment, on
-// degenerate shapes (N = 1, L = K, L > K, |C| = N, H at the sign-word
-// boundary), with
-// recycled buffers, and through ReuseConv2d.
+// Differential tests for the LSH forward driver, ClusteredForward. Given
+// an NCHW input under its conv geometry, or the materialized Im2Col matrix
+// under MatrixGeometry, it must be bit-identical to ReferenceForward
+// (tests/clustered_forward_reference.h): same signatures, clusterings,
+// hit decisions and outputs. Checked at every compiled SIMD backend and
+// thread count, with and without the cluster-reuse cache, across
+// tile/group boundary misalignment, on degenerate shapes (N = 1, L = K,
+// L > K, |C| = N, H at the sign-word boundary), with recycled buffers,
+// and through ReuseConv2d.
 
 #include <gtest/gtest.h>
 
@@ -103,7 +102,7 @@ void ExpectSameClustering(const ReuseClustering& actual,
 }
 
 // The three caches of one differential run, in identical states: one per
-// row source of the production driver, and the reference's.
+// input form given to the production driver, and the reference's.
 struct Caches {
   ClusterReuseCache unfold;
   ClusterReuseCache matrix;
@@ -119,7 +118,7 @@ void ExpectSameStats(const ReuseLayerStats& stats,
                        static_cast<double>(reference.clusters_total));
 }
 
-// Runs the production driver with both row sources and ReferenceForward
+// Runs the production driver on both input forms and ReferenceForward
 // on one input, and checks bitwise equality of signatures, clusterings,
 // hit decisions and outputs.
 void ExpectDriverMatchesReference(const BlockLshFamilies& families,
@@ -139,12 +138,13 @@ void ExpectDriverMatchesReference(const BlockLshFamilies& families,
 
   const struct {
     const char* name;
-    ForwardRows rows;
+    ConvGeometry geo;
+    const float* data;
     ClusterReuseCache* cache;
   } sources[] = {
-      {"unfold", ForwardRows::Unfold(geo, input.data()),
+      {"unfold", geo, input.data(),
        caches == nullptr ? nullptr : &caches->unfold},
-      {"matrix", ForwardRows::Matrix(cols.data(), n),
+      {"matrix", MatrixGeometry(n, k), cols.data(),
        caches == nullptr ? nullptr : &caches->matrix},
   };
   for (const auto& source : sources) {
@@ -154,9 +154,9 @@ void ExpectDriverMatchesReference(const BlockLshFamilies& families,
     std::vector<float> y(static_cast<size_t>(n * m));
     ReuseClustering clustering;
     ReuseLayerStats fs;
-    ClusteredForward(families, source.rows, weight, &bias, rows_per_group,
-                     source.cache, &arena, &clusterer, y.data(), &clustering,
-                     &fs);
+    ClusteredForward(families, source.geo, source.data, weight, &bias,
+                     rows_per_group, source.cache, &arena, &clusterer,
+                     y.data(), &clustering, &fs);
     const float* ry = reference.y.data();
     for (int64_t i = 0; i < n * m; ++i) {
       ASSERT_EQ(y[static_cast<size_t>(i)], ry[i]) << "output element " << i;
@@ -337,8 +337,8 @@ TEST(FusedForwardTest, MatchesMaterializedWithClusterReuseCache) {
 
 TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
   // One persistent clusterer and arena driven for several steps (with
-  // Recycle between them, as the layer does), alternating the row
-  // sources, must keep producing the reference's bits.
+  // Recycle between them, as the layer does), alternating the input
+  // forms, must keep producing the reference's bits.
   const ConvGeometry geo = MultiTileGeometry(2);
   const int64_t n = geo.unfolded_rows();
   const int64_t k = geo.unfolded_cols();
@@ -363,11 +363,10 @@ TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
     float* y = arena.AllocFloats(n * m);
     ReuseClustering clustering;
     ReuseLayerStats fs;
-    const ForwardRows rows = step % 2 == 0
-                                 ? ForwardRows::Unfold(geo, input.data())
-                                 : ForwardRows::Matrix(cols.data(), n);
-    ClusteredForward(*families, rows, weight, &bias, n, nullptr, &arena,
-                     &clusterer, y, &clustering, &fs);
+    const bool unfold = step % 2 == 0;
+    ClusteredForward(*families, unfold ? geo : MatrixGeometry(n, k),
+                     unfold ? input.data() : cols.data(), weight, &bias, n,
+                     nullptr, &arena, &clusterer, y, &clustering, &fs);
     for (int64_t i = 0; i < n * m; ++i) {
       ASSERT_EQ(y[i], reference.y.data()[i])
           << "step " << step << " element " << i;
@@ -378,9 +377,9 @@ TEST(FusedForwardTest, ReusedBuffersStayBitIdenticalAcrossSteps) {
 
 TEST(FusedForwardTest, ReuseConv2dFusedMatchesMaterializedLayer) {
   // Layer-level differential: with exact_backward set, the training
-  // Forward materializes im2col and the driver reads it as a matrix; the
-  // default layer unfolds tile by tile. Identically seeded weights must
-  // give bitwise-equal outputs.
+  // Forward also materializes im2col for the exact backward, while the
+  // driver unfolds its tiles again; the default layer only unfolds tile
+  // by tile. Identically seeded weights must give bitwise-equal outputs.
   Conv2dConfig config;
   config.in_channels = 32;
   config.out_channels = 12;

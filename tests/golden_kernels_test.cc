@@ -14,8 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/clustered_matmul.h"
-#include "core/reuse_backward.h"
 #include "core/reuse_conv2d.h"
 #include "core/subvector_clustering.h"
 #include "clustering/lsh.h"
@@ -25,6 +23,7 @@
 #include "tests/clustered_forward_reference.h"
 #include "tests/gradient_check.h"
 #include "tests/kernel_harness.h"
+#include "tests/matrix_reuse.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -530,17 +529,15 @@ TEST(GoldenKernels, ClusteredMatmulAndBackwardScalarVsSimd) {
   ASSERT_TRUE(families.ok());
 
   simd::ScopedKernelsOverride scalar_override(simd::Scalar());
-  ForwardReuseResult scalar_forward =
-      ClusteredMatmulForward(*families, x.data(), n, weight, nullptr, n,
-                             nullptr);
-  BackwardReuseResult scalar_backward =
-      ReuseBackward(scalar_forward.clustering, weight, dy);
+  MatrixForwardResult scalar_forward =
+      MatrixForward(*families, x.data(), n, weight, nullptr, n, nullptr);
+  MatrixBackwardResult scalar_backward =
+      MatrixBackward(scalar_forward.clustering, weight, dy);
 
   for (const simd::Kernels* backend : Backends()) {
     simd::ScopedKernelsOverride override_backend(*backend);
-    ForwardReuseResult forward =
-        ClusteredMatmulForward(*families, x.data(), n, weight, nullptr, n,
-                               nullptr);
+    MatrixForwardResult forward =
+        MatrixForward(*families, x.data(), n, weight, nullptr, n, nullptr);
     ASSERT_EQ(forward.clustering.blocks.size(),
               scalar_forward.clustering.blocks.size());
     for (size_t bi = 0; bi < forward.clustering.blocks.size(); ++bi) {
@@ -552,8 +549,8 @@ TEST(GoldenKernels, ClusteredMatmulAndBackwardScalarVsSimd) {
     EXPECT_LT(MaxAbsDiff(forward.y_rows, scalar_forward.y_rows), 1e-3f)
         << backend->name;
 
-    BackwardReuseResult backward =
-        ReuseBackward(forward.clustering, weight, dy);
+    MatrixBackwardResult backward =
+        MatrixBackward(forward.clustering, weight, dy);
     EXPECT_LT(MaxAbsDiff(backward.grad_weight, scalar_backward.grad_weight),
               1e-3f)
         << backend->name;

@@ -100,6 +100,23 @@ TEST(Im2ColTest, ZeroPaddingProducesZeros) {
   EXPECT_EQ(cols.at(0, 4), 1.0f);  // (0,0)
 }
 
+TEST(Im2ColTest, MatrixGeometryUnfoldsAndFoldsRowsUnchanged) {
+  // 5 rows of 40 floats: one 1 x 40 image per row under a 1 x 40 kernel.
+  const ConvGeometry geo = MatrixGeometry(5, 40);
+  ASSERT_TRUE(geo.Validate().ok());
+  EXPECT_EQ(geo.unfolded_rows(), 5);
+  EXPECT_EQ(geo.unfolded_cols(), 40);
+  Rng rng(8);
+  const Tensor x = Tensor::RandomGaussian(Shape({5, 40}), &rng);
+  const Tensor images = x.Reshaped(Shape({5, 1, 1, 40}));
+  Tensor cols(Shape({5, 40}));
+  Im2Col(geo, images, &cols);
+  EXPECT_EQ(std::memcmp(cols.data(), x.data(), sizeof(float) * 200), 0);
+  Tensor folded(images.shape());
+  Col2Im(geo, x, &folded);
+  EXPECT_EQ(std::memcmp(folded.data(), x.data(), sizeof(float) * 200), 0);
+}
+
 TEST(Im2ColTest, BatchRowsAreContiguousPerImage) {
   const ConvGeometry geo = MakeGeometry(2, 1, 4, 2, 2, 0);
   Rng rng(2);
@@ -242,7 +259,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(2, 11, 5, 2, 1),
                       std::make_tuple(2, 3, 3, 1, 2),    // pad < kernel edge
                       std::make_tuple(1, 4, 2, 1, 3),    // rows all padding
-                      std::make_tuple(2, 15, 11, 4, 2)));
+                      std::make_tuple(2, 15, 11, 4, 2),
+                      // Valid runs of 31 and 34 taps, either side of the
+                      // width at which Im2ColRows switches to memcpy.
+                      std::make_tuple(1, 34, 34, 3, 3)));
 
 TEST(Col2ImTest, OverlappingPatchesAccumulate) {
   // 3x3 input, 2x2 kernel, stride 1: center pixel (1,1) appears in all

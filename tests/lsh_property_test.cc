@@ -77,8 +77,9 @@ TEST_P(LshHashCountSweep, ClusterCountGrowsWithH) {
 
   LshFamily family;
   ASSERT_TRUE(LshFamily::Create(12, h, 7, &family).ok());
-  const Clustering clustering =
-      LshCluster(family, data.data(), 256, 12);
+  std::vector<LshSignature> sigs;
+  family.HashRows(data.data(), 256, 12, &sigs);
+  const Clustering clustering = ClusterBySignature(sigs, nullptr);
   // Coarse bounds: at least 2^0 clusters and at most min(2^h, 256).
   EXPECT_GE(clustering.num_clusters(), 1);
   EXPECT_LE(clustering.num_clusters(),

@@ -7,7 +7,6 @@
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/pooling.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
@@ -269,48 +268,6 @@ TEST(FlattenTest, RoundTrip) {
   Tensor back = flatten.Backward(out);
   EXPECT_EQ(back.shape(), in.shape());
   EXPECT_EQ(MaxAbsDiff(back, in), 0.0f);
-}
-
-TEST(DropoutTest, InferenceIsIdentity) {
-  Rng rng(12);
-  Dropout dropout("drop", 0.5f, &rng);
-  Tensor in = Tensor::RandomGaussian(Shape({100}), &rng);
-  Tensor out = dropout.Forward(in, /*training=*/false);
-  EXPECT_EQ(MaxAbsDiff(out, in), 0.0f);
-}
-
-TEST(DropoutTest, TrainingDropsRoughlyP) {
-  Rng rng(13);
-  Dropout dropout("drop", 0.3f, &rng);
-  Tensor in = Tensor::Ones(Shape({10000}));
-  Tensor out = dropout.Forward(in, /*training=*/true);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < out.num_elements(); ++i) {
-    if (out.at(i) == 0.0f) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.3, 0.03);
-  // Survivors are scaled so the expectation is preserved.
-  EXPECT_NEAR(Mean(out), 1.0, 0.05);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Rng rng(14);
-  Dropout dropout("drop", 0.5f, &rng);
-  Tensor in = Tensor::Ones(Shape({1000}));
-  Tensor out = dropout.Forward(in, true);
-  Tensor grad = Tensor::Ones(Shape({1000}));
-  Tensor gin = dropout.Backward(grad);
-  for (int64_t i = 0; i < 1000; ++i) {
-    EXPECT_EQ(gin.at(i), out.at(i));  // both are mask * 1
-  }
-}
-
-TEST(DropoutTest, ZeroProbabilityIsIdentityInTraining) {
-  Rng rng(15);
-  Dropout dropout("drop", 0.0f, &rng);
-  Tensor in = Tensor::RandomGaussian(Shape({50}), &rng);
-  Tensor out = dropout.Forward(in, true);
-  EXPECT_EQ(MaxAbsDiff(out, in), 0.0f);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -128,6 +129,55 @@ TEST(ThreadPoolTest, SetGlobalThreadsClampsToOne) {
   EXPECT_EQ(ThreadPool::GlobalThreads(), 1);
   ThreadPool::SetGlobalThreads(5);
   EXPECT_EQ(ThreadPool::GlobalThreads(), 5);
+}
+
+// Sets ADR_THREADS for one scope and restores the previous value.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("ADR_THREADS")) {
+      had_value_ = true;
+      saved_ = old;
+    }
+    ::setenv("ADR_THREADS", value, /*overwrite=*/1);
+  }
+  ~ScopedThreadsEnv() {
+    if (had_value_) {
+      ::setenv("ADR_THREADS", saved_.c_str(), /*overwrite=*/1);
+    } else {
+      ::unsetenv("ADR_THREADS");
+    }
+  }
+
+ private:
+  bool had_value_ = false;
+  std::string saved_;
+};
+
+// Only DefaultThreads() is called: no pool is built from these values.
+TEST(ThreadPoolTest, DefaultThreadsRejectsCountsAboveTheCap) {
+  int fallback = 0;
+  {
+    ScopedThreadsEnv env("garbage");
+    fallback = ThreadPool::DefaultThreads();
+  }
+  EXPECT_GE(fallback, 1);
+  EXPECT_LE(fallback, ThreadPool::kMaxThreads);
+  {
+    ScopedThreadsEnv env("3");
+    EXPECT_EQ(ThreadPool::DefaultThreads(), 3);
+  }
+  {
+    ScopedThreadsEnv env("256");
+    EXPECT_EQ(ThreadPool::DefaultThreads(), ThreadPool::kMaxThreads);
+  }
+  // Above the cap, past int (4294967297 was once cast to 1 thread), past
+  // long, zero and negative: all fall back like any invalid value.
+  for (const char* invalid : {"257", "100000", "4294967297",
+                              "99999999999999999999999", "0", "-2"}) {
+    ScopedThreadsEnv env(invalid);
+    EXPECT_EQ(ThreadPool::DefaultThreads(), fallback) << invalid;
+  }
 }
 
 TEST(ThreadPoolTest, GrainForCostScalesInversely) {

@@ -1,4 +1,4 @@
-// Tests for ReuseBackward (paper Section IV): bitwise agreement with the
+// Tests for ReuseBackwardInto (paper Section IV): bitwise agreement with the
 // serial reference of tests/reuse_backward_reference.h, exactness in the
 // singleton limit, the averaging semantics of Eq. 13, and MAC accounting.
 
@@ -7,7 +7,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/clustered_matmul.h"
 #include "core/reuse_backward.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
@@ -16,6 +15,7 @@
 #include "tensor/workspace_arena.h"
 #include "tests/clustered_forward_reference.h"
 #include "tests/kernel_harness.h"
+#include "tests/matrix_reuse.h"
 #include "tests/reuse_backward_reference.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -67,9 +67,10 @@ struct BitwiseCase {
   bool all_singletons;  ///< the case requires |C| = N in every block
 };
 
-// ReuseBackwardInto (conv geometry, arena) and the allocating ReuseBackward
-// (1 x 1 geometry, heap scratch) both match ReferenceBackward bit for bit:
-// dW, db, the folded input delta and the unfolded grad_x.
+// ReuseBackwardInto under the conv geometry (arena) and under
+// MatrixGeometry (heap scratch, via MatrixBackward) both match
+// ReferenceBackward bit for bit: dW, db, the folded input delta and the
+// unfolded grad_x.
 TEST(ReuseBackwardTest, MatchesReferenceBitwise) {
   ThreadCountGuard guard;
   const BitwiseCase cases[] = {
@@ -110,8 +111,8 @@ TEST(ReuseBackwardTest, MatchesReferenceBitwise) {
                      std::to_string(threads));
         ThreadPool::SetGlobalThreads(threads);
         const ReuseClustering clustering =
-            ClusteredMatmulForward(*families, cols.data(), n, weight, nullptr,
-                                   n, nullptr)
+            MatrixForward(*families, cols.data(), n, weight, nullptr, n,
+                          nullptr)
                 .clustering;
         bool coarse = false;
         for (const SubMatrixClustering& block : clustering.blocks) {
@@ -146,15 +147,14 @@ TEST(ReuseBackwardTest, MatchesReferenceBitwise) {
         ExpectBitwiseEqual(grad_input.data(), expected.grad_input.data(),
                            grad_input.num_elements(), "dX");
 
-        const BackwardReuseResult unfolded =
-            ReuseBackward(clustering, weight, dy);
+        const MatrixBackwardResult unfolded =
+            MatrixBackward(clustering, weight, dy);
         ExpectBitwiseEqual(unfolded.grad_weight.data(),
-                           expected.grad_weight.data(), k * kM,
-                           "wrapper dW");
+                           expected.grad_weight.data(), k * kM, "matrix dW");
         ExpectBitwiseEqual(unfolded.grad_bias.data(),
-                           expected.grad_bias.data(), kM, "wrapper db");
+                           expected.grad_bias.data(), kM, "matrix db");
         ExpectBitwiseEqual(unfolded.grad_x.data(), expected.grad_cols.data(),
-                           n * k, "wrapper grad_x");
+                           n * k, "matrix grad_x");
       }
     }
   }
@@ -191,7 +191,7 @@ TEST(ReuseBackwardTest, ExactInSingletonLimit) {
   if (clustering.TotalClusters() != 10) {
     GTEST_SKIP() << "accidental LSH collision; singleton limit not reached";
   }
-  const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
+  const MatrixBackwardResult reuse = MatrixBackward(clustering, w, dy);
   const DenseBackward exact = ExactBackward(x, w, dy);
   EXPECT_TRUE(AllClose(reuse.grad_weight, exact.grad_weight, 1e-4f, 1e-5f));
   EXPECT_TRUE(AllClose(reuse.grad_x, exact.grad_x, 1e-4f, 1e-5f));
@@ -207,7 +207,7 @@ TEST(ReuseBackwardTest, BiasGradientAlwaysExact)
   Tensor dy = Tensor::RandomGaussian(Shape({20, 5}), &rng);
   const ReuseClustering clustering =
       ClusterSubVectors(*families, x.data(), 20, 20);
-  const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
+  const MatrixBackwardResult reuse = MatrixBackward(clustering, w, dy);
   EXPECT_TRUE(AllClose(reuse.grad_bias, ColumnSums(dy)));
 }
 
@@ -229,7 +229,7 @@ TEST(ReuseBackwardTest, WeightGradUsesClusterSums) {
   const ReuseClustering clustering =
       ClusterSubVectors(*families, x.data(), 2, 2);
   ASSERT_EQ(clustering.TotalClusters(), 1);
-  const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
+  const MatrixBackwardResult reuse = MatrixBackward(clustering, w, dy);
   const DenseBackward exact = ExactBackward(x, w, dy);
   EXPECT_TRUE(AllClose(reuse.grad_weight, exact.grad_weight, 1e-4f, 1e-5f));
 }
@@ -251,7 +251,7 @@ TEST(ReuseBackwardTest, InputDeltaIsClusterAverageScattered) {
   const ReuseClustering clustering =
       ClusterSubVectors(*families, x.data(), 3, 3);
   ASSERT_EQ(clustering.TotalClusters(), 1);
-  const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
+  const MatrixBackwardResult reuse = MatrixBackward(clustering, w, dy);
 
   // Expected: dy_avg * W^T for every row.
   Tensor dy_avg(Shape({1, 2}));
@@ -280,7 +280,7 @@ TEST(ReuseBackwardTest, SubVectorBlocksFillDisjointColumnRanges) {
   // blocks of dW/dx must combine to the dense result.
   if (clustering.blocks[0].clustering.num_clusters() == 6 &&
       clustering.blocks[1].clustering.num_clusters() == 6) {
-    const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
+    const MatrixBackwardResult reuse = MatrixBackward(clustering, w, dy);
     const DenseBackward exact = ExactBackward(x, w, dy);
     EXPECT_TRUE(AllClose(reuse.grad_weight, exact.grad_weight, 1e-4f, 1e-5f));
     EXPECT_TRUE(AllClose(reuse.grad_x, exact.grad_x, 1e-4f, 1e-5f));
@@ -296,7 +296,7 @@ TEST(ReuseBackwardTest, MacAccounting) {
   Tensor dy = Tensor::RandomGaussian(Shape({16, 5}), &rng);
   const ReuseClustering clustering =
       ClusterSubVectors(*families, x.data(), 16, 16);
-  const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
+  const MatrixBackwardResult reuse = MatrixBackward(clustering, w, dy);
   EXPECT_DOUBLE_EQ(reuse.stats.macs_baseline, 2.0 * 16 * 8 * 5);
   EXPECT_GT(reuse.stats.macs_executed, 0.0);
   EXPECT_LE(reuse.stats.macs_executed, reuse.stats.macs_baseline);
@@ -321,7 +321,7 @@ TEST(ReuseBackwardTest, CoarseClusteringStillDescends) {
   Tensor dy = Tensor::RandomGaussian(Shape({32, 4}), &rng);
   const ReuseClustering clustering =
       ClusterSubVectors(*families, x.data(), 32, 32);
-  const BackwardReuseResult reuse = ReuseBackward(clustering, w, dy);
+  const MatrixBackwardResult reuse = MatrixBackward(clustering, w, dy);
   const DenseBackward exact = ExactBackward(x, w, dy);
   double dot = 0.0;
   for (int64_t i = 0; i < exact.grad_weight.num_elements(); ++i) {

@@ -1,4 +1,4 @@
-// Tests for ExactDedupRows and the reuse report table.
+// Tests for the reuse report table.
 
 #include <gtest/gtest.h>
 
@@ -7,67 +7,12 @@
 #include <string>
 #include <vector>
 
-#include "clustering/exact_dedup.h"
-#include "clustering/lsh.h"
 #include "core/reuse_report.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
 namespace adr {
 namespace {
-
-TEST(ExactDedupTest, GroupsIdenticalRows) {
-  Tensor data(Shape({4, 2}), {1, 2, 3, 4, 1, 2, 3, 4});
-  const Clustering c = ExactDedupRows(data.data(), 4, 2, 2);
-  EXPECT_EQ(c.num_clusters(), 2);
-  EXPECT_EQ(c.assignment[0], c.assignment[2]);
-  EXPECT_EQ(c.assignment[1], c.assignment[3]);
-  EXPECT_NE(c.assignment[0], c.assignment[1]);
-}
-
-TEST(ExactDedupTest, DistinctRowsStaySeparate) {
-  Rng rng(1);
-  Tensor data = Tensor::RandomGaussian(Shape({50, 8}), &rng);
-  const Clustering c = ExactDedupRows(data.data(), 50, 8, 8);
-  EXPECT_EQ(c.num_clusters(), 50);
-  EXPECT_DOUBLE_EQ(c.remaining_ratio(), 1.0);
-}
-
-TEST(ExactDedupTest, ToleranceMergesNearbyRows) {
-  Tensor data(Shape({3, 2}), {1.0f, 2.0f, 1.004f, 2.004f, 5.0f, 5.0f});
-  const Clustering exact = ExactDedupRows(data.data(), 3, 2, 2, 0.0f);
-  EXPECT_EQ(exact.num_clusters(), 3);
-  const Clustering coarse = ExactDedupRows(data.data(), 3, 2, 2, 0.1f);
-  EXPECT_EQ(coarse.num_clusters(), 2);
-  EXPECT_EQ(coarse.assignment[0], coarse.assignment[1]);
-}
-
-TEST(ExactDedupTest, RespectsRowStride) {
-  // Width-2 rows at stride 4, identical in the first two columns only.
-  Tensor data(Shape({2, 4}), {1, 2, 99, 98, 1, 2, 55, 54});
-  const Clustering c = ExactDedupRows(data.data(), 2, 2, 4);
-  EXPECT_EQ(c.num_clusters(), 1);
-}
-
-TEST(ExactDedupTest, LshFindsAtLeastAsMuchReuseOnNoisyDuplicates) {
-  // Near-duplicates: exact dedup sees all-distinct rows, LSH groups them —
-  // the gap is deep reuse's advantage over trivial memoization.
-  Rng rng(2);
-  Tensor proto = Tensor::RandomGaussian(Shape({16}), &rng);
-  Tensor data(Shape({64, 16}));
-  for (int64_t i = 0; i < 64; ++i) {
-    for (int64_t j = 0; j < 16; ++j) {
-      data.at(i, j) = proto.at(j) + 1e-4f * rng.NextGaussian();
-    }
-  }
-  const Clustering dedup = ExactDedupRows(data.data(), 64, 16, 16);
-  EXPECT_EQ(dedup.num_clusters(), 64);  // all bitwise distinct
-
-  LshFamily family;
-  ASSERT_TRUE(LshFamily::Create(16, 16, 3, &family).ok());
-  const Clustering lsh = LshCluster(family, data.data(), 64, 16);
-  EXPECT_LT(lsh.num_clusters(), 5);  // nearly one cluster
-}
 
 Conv2dConfig ReportConv() {
   Conv2dConfig config;

@@ -1,4 +1,4 @@
-// Unit tests for src/util: Status, Result, Rng, CsvWriter, string utils.
+// Unit tests for src/util: Status, Result, Rng, CsvWriter, timers, logging.
 
 #include <cstdio>
 #include <fstream>
@@ -12,7 +12,6 @@
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace adr {
@@ -242,39 +241,6 @@ TEST(CsvWriterTest, ReportsUnwritablePath) {
   EXPECT_EQ(
       CsvWriter::Open("/nonexistent-dir/file.csv", {"a"}, &writer).code(),
       StatusCode::kNotFound);
-}
-
-TEST(StringUtilTest, Join) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ","), "a,b,c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"solo"}, "-"), "solo");
-}
-
-TEST(StringUtilTest, Split) {
-  EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(Split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-}
-
-TEST(StringUtilTest, SplitJoinRoundTrip) {
-  const std::string text = "x,y,z,w";
-  EXPECT_EQ(Join(Split(text, ','), ","), text);
-}
-
-TEST(StringUtilTest, FormatDouble) {
-  EXPECT_EQ(FormatDouble(0.5, 3), "0.500");
-  EXPECT_EQ(FormatDouble(-1.25, 2), "-1.25");
-}
-
-TEST(StringUtilTest, FormatPercent) {
-  EXPECT_EQ(FormatPercent(0.69), "69.0%");
-  EXPECT_EQ(FormatPercent(0.12345, 2), "12.35%");
-}
-
-TEST(StringUtilTest, FormatBytes) {
-  EXPECT_EQ(FormatBytes(512), "512.0 B");
-  EXPECT_EQ(FormatBytes(1536), "1.5 KiB");
-  EXPECT_EQ(FormatBytes(3 * 1024 * 1024), "3.0 MiB");
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {
