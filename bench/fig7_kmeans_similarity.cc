@@ -22,7 +22,6 @@
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/simd.h"
-#include "tensor/tensor_ops.h"
 #include "util/csv_writer.h"
 
 namespace adr::bench {
@@ -84,10 +83,9 @@ Tensor KMeansForward(ReuseConv2d* layer, const Tensor& input,
     kernels.add(yc.data() + merged.assignment[static_cast<size_t>(i)] * m,
                 y.data() + i * m, m);
   }
-  AddRowBias(layer->bias().data(), y.data(), n, m);
   Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
-  RowsToNchw(y.data(), batch, m, geo.out_height(), geo.out_width(),
-             out.data());
+  RowsToNchw(y.data(), layer->bias().data(), batch, m, geo.out_height(),
+             geo.out_width(), out.data());
   return out;
 }
 

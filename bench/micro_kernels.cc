@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the substrate kernels the reuse
-// savings are measured against: GEMM, im2col, LSH hashing, and the full
-// clustered matmul vs its dense equivalent.
+// savings are measured against: GEMM, im2col, LSH hashing, the full
+// clustered matmul vs its dense equivalent, and the activation-sized
+// passes around the conv GEMMs (ReLU, max-pool, the conv epilogue).
 //
 // Every benchmark takes the worker thread count as its first argument
 // (the "threads" column), so scaling of the parallel runtime is read
@@ -11,6 +12,9 @@
 #include <array>
 
 #include "bench_json_main.h"
+#include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/pooling.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
@@ -227,6 +231,69 @@ void ClusteredForwardArgs(benchmark::internal::Benchmark* bench) {
   }
 }
 BENCHMARK(BM_ClusteredForward)->Apply(ClusteredForwardArgs);
+
+// The activation-sized passes of a dense conv step, at CifarNet conv1's
+// output in the step benchmark: batch 32, 32 channels, 32 x 32.
+const Shape kConv1Output({32, 32, 32, 32});
+
+void BM_Relu(benchmark::State& state) {
+  SetupThreads(state);
+  Rng rng(12);
+  const Tensor input = Tensor::RandomGaussian(kConv1Output, &rng);
+  const Tensor grad = Tensor::RandomGaussian(kConv1Output, &rng);
+  Relu relu("relu");
+  for (auto _ : state) {
+    Tensor out = relu.Forward(input, /*training=*/true);
+    Tensor dx = relu.Backward(grad);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * input.num_elements());
+}
+BENCHMARK(BM_Relu)->Apply(ThreadsOnlyArgs);
+
+void BM_MaxPool(benchmark::State& state) {
+  SetupThreads(state);
+  Rng rng(13);
+  const Tensor input = Tensor::RandomGaussian(kConv1Output, &rng);
+  const Tensor grad = Tensor::RandomGaussian(Shape({32, 32, 16, 16}), &rng);
+  MaxPool2d pool("pool", PoolConfig{2, 2});
+  for (auto _ : state) {
+    Tensor out = pool.Forward(input, /*training=*/true);
+    Tensor dx = pool.Backward(grad);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * input.num_elements());
+}
+BENCHMARK(BM_MaxPool)->Apply(ThreadsOnlyArgs);
+
+// Forward: GEMM rows + bias to NCHW. Backward: NCHW dy to rows, and db.
+void BM_ConvEpilogue(benchmark::State& state) {
+  SetupThreads(state);
+  const int64_t batch = kConv1Output[0], channels = kConv1Output[1];
+  const int64_t height = kConv1Output[2], width = kConv1Output[3];
+  Rng rng(14);
+  const Tensor rows = Tensor::RandomGaussian(
+      Shape({batch * height * width, channels}), &rng);
+  const Tensor bias = Tensor::RandomGaussian(Shape({channels}), &rng);
+  const Tensor grad = Tensor::RandomGaussian(kConv1Output, &rng);
+  Tensor out(kConv1Output);
+  Tensor dy(rows.shape());
+  Tensor db(Shape({channels}));
+  for (auto _ : state) {
+    RowsToNchw(rows.data(), bias.data(), batch, channels, height, width,
+               out.data());
+    NchwToRows(grad, dy.data());
+    NchwChannelSums(grad, db.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(dy.data());
+    benchmark::DoNotOptimize(db.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows.num_elements());
+}
+BENCHMARK(BM_ConvEpilogue)->Apply(ThreadsOnlyArgs);
 
 }  // namespace
 }  // namespace adr

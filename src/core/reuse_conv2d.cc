@@ -154,7 +154,6 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   if (!reuse_.enabled) {
     // Dense path: identical to Conv2d. Every row is its own cluster.
     Gemm(cols, weight_.data(), y, n, k, m);
-    AddRowBias(bias_.data(), y, n, m);
     call.forward_calls = 1;
     call.avg_remaining_ratio = 1.0;
     call.macs_executed = static_cast<double>(n) * k * m;
@@ -176,8 +175,10 @@ Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   stats_.Add(call);
   Publish(call);
 
+  // The dense path adds its bias here; ClusteredForward added its own.
   Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
-  RowsToNchw(y, batch, m, geo.out_height(), geo.out_width(), out.data());
+  RowsToNchw(y, reuse_.enabled ? nullptr : bias_.data(), batch, m,
+             geo.out_height(), geo.out_width(), out.data());
   return out;
 }
 

@@ -29,6 +29,10 @@ class Dataset {
   virtual Shape image_shape() const = 0;
 
   /// \brief Writes image `index` (C*H*W floats, NCHW) and its label.
+  /// Must be safe to call concurrently from several threads for distinct
+  /// output buffers: DataLoader and MakeBatch fill a batch's images in
+  /// parallel. The result may depend only on `index` and the dataset's
+  /// immutable state, never on call order.
   virtual void Get(int64_t index, float* out_image, int* out_label) const = 0;
 };
 

@@ -3,7 +3,9 @@
 #ifndef ADR_NN_ACTIVATIONS_H_
 #define ADR_NN_ACTIVATIONS_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "nn/layer.h"
 
@@ -20,7 +22,9 @@ class Relu : public Layer {
 
  private:
   std::string name_;
-  Tensor mask_;  ///< 1 where input > 0, else 0
+  Shape input_shape_;
+  /// 1 where input > 0, else 0; the buffer is kept across calls.
+  std::vector<uint8_t> mask_;
 };
 
 /// \brief Hyperbolic tangent.

@@ -4,31 +4,57 @@
 #include <cmath>
 
 #include "tensor/gemm.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
 namespace adr {
 
+namespace {
+
+// Spatial positions per RowsToNchw tile: a tile's rows ([kTransposeTile,
+// C] floats) stay in L1 while each channel's plane segment is written
+// contiguously. Plane strides are often a multiple of 4 KiB, so writing
+// all C planes per position thrashes L1 sets (3.5x slower at CifarNet
+// conv1). NchwToRows reads the planes instead, and its row-by-row loop
+// is the faster one there.
+constexpr int64_t kTransposeTile = 64;
+
+}  // namespace
+
 Tensor RowsToNchw(const Tensor& rows, int64_t batch, int64_t channels,
                   int64_t height, int64_t width) {
   ADR_CHECK(rows.shape() == Shape({batch * height * width, channels}));
   Tensor out(Shape({batch, channels, height, width}));
-  RowsToNchw(rows.data(), batch, channels, height, width, out.data());
+  RowsToNchw(rows.data(), /*bias=*/nullptr, batch, channels, height, width,
+             out.data());
   return out;
 }
 
-void RowsToNchw(const float* rows, int64_t batch, int64_t channels,
-                int64_t height, int64_t width, float* out) {
+void RowsToNchw(const float* rows, const float* bias, int64_t batch,
+                int64_t channels, int64_t height, int64_t width,
+                float* out) {
   const int64_t hw = height * width;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t p = 0; p < hw; ++p) {
-      const float* row = rows + (n * hw + p) * channels;
-      for (int64_t c = 0; c < channels; ++c) {
-        out[(n * channels + c) * hw + p] = row[c];
+  ParallelFor(batch, GrainForCost(hw * channels), [&](int64_t begin,
+                                                       int64_t end) {
+    for (int64_t n = begin; n < end; ++n) {
+      const float* src = rows + n * hw * channels;
+      float* dst = out + n * channels * hw;
+      for (int64_t p0 = 0; p0 < hw; p0 += kTransposeTile) {
+        const int64_t p1 = std::min(p0 + kTransposeTile, hw);
+        for (int64_t c = 0; c < channels; ++c) {
+          float* plane = dst + c * hw;
+          if (bias != nullptr) {
+            const float b = bias[c];
+            for (int64_t p = p0; p < p1; ++p) {
+              plane[p] = src[p * channels + c] + b;
+            }
+          } else {
+            for (int64_t p = p0; p < p1; ++p) plane[p] = src[p * channels + c];
+          }
+        }
       }
     }
-  }
+  });
 }
 
 Tensor NchwToRows(const Tensor& nchw) {
@@ -43,17 +69,42 @@ Tensor NchwToRows(const Tensor& nchw) {
 void NchwToRows(const Tensor& nchw, float* out) {
   ADR_CHECK_EQ(nchw.shape().rank(), 4);
   const int64_t batch = nchw.shape()[0], channels = nchw.shape()[1];
-  const int64_t height = nchw.shape()[2], width = nchw.shape()[3];
-  const int64_t hw = height * width;
-  const float* src = nchw.data();
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t p = 0; p < hw; ++p) {
-      float* row = out + (n * hw + p) * channels;
-      for (int64_t c = 0; c < channels; ++c) {
-        row[c] = src[(n * channels + c) * hw + p];
+  const int64_t hw = nchw.shape()[2] * nchw.shape()[3];
+  const float* data = nchw.data();
+  ParallelFor(batch, GrainForCost(hw * channels), [&](int64_t begin,
+                                                       int64_t end) {
+    for (int64_t n = begin; n < end; ++n) {
+      const float* src = data + n * channels * hw;
+      for (int64_t p = 0; p < hw; ++p) {
+        float* row = out + (n * hw + p) * channels;
+        for (int64_t c = 0; c < channels; ++c) row[c] = src[c * hw + p];
       }
     }
-  }
+  });
+}
+
+void NchwChannelSums(const Tensor& nchw, float* out) {
+  ADR_CHECK_EQ(nchw.shape().rank(), 4);
+  // Channels summed side by side: independent add chains, so a sum's
+  // latency does not serialize the pass.
+  constexpr int64_t kLanes = 8;
+  const int64_t batch = nchw.shape()[0], channels = nchw.shape()[1];
+  const int64_t hw = nchw.shape()[2] * nchw.shape()[3];
+  const float* data = nchw.data();
+  ParallelFor(channels, GrainForCost(batch * hw), [&](int64_t begin,
+                                                       int64_t end) {
+    for (int64_t c0 = begin; c0 < end; c0 += kLanes) {
+      const int64_t lanes = std::min(kLanes, end - c0);
+      float sums[kLanes] = {};
+      for (int64_t n = 0; n < batch; ++n) {
+        const float* planes = data + (n * channels + c0) * hw;
+        for (int64_t p = 0; p < hw; ++p) {
+          for (int64_t l = 0; l < lanes; ++l) sums[l] += planes[l * hw + p];
+        }
+      }
+      std::copy_n(sums, lanes, out + c0);
+    }
+  });
 }
 
 void ConvBackwardInput(const ConvGeometry& geo, const float* dy,
@@ -156,9 +207,9 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
     }
   }
 
-  AddRowBias(bias_.data(), y, n, m);
   Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
-  RowsToNchw(y, batch, m, geo.out_height(), geo.out_width(), out.data());
+  RowsToNchw(y, bias_.data(), batch, m, geo.out_height(), geo.out_width(),
+             out.data());
   return out;
 }
 
@@ -176,9 +227,9 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   float* dy = arena_.AllocFloats(n * m);  // [N, M]
   NchwToRows(grad_output, dy);
 
-  // dW = x^T * dy  (Eq. 2); db = column sums of dy.
+  // dW = x^T * dy  (Eq. 2); db = column sums of dy, read from the planes.
   GemmTransA(cached_cols_.data(), dy, grad_weight_.data(), k, n, m);
-  ColumnSumsInto(dy, n, m, grad_bias_.data());
+  NchwChannelSums(grad_output, grad_bias_.data());
 
   // dx = col2im(dy * W^T)  (Eq. 3), folded tile by tile.
   Tensor grad_input(Shape(

@@ -32,16 +32,26 @@ struct Conv2dConfig {
 Tensor RowsToNchw(const Tensor& rows, int64_t batch, int64_t channels,
                   int64_t height, int64_t width);
 
-/// \brief Raw-buffer RowsToNchw; `out` holds batch*channels*height*width
-/// floats and is fully overwritten.
-void RowsToNchw(const float* rows, int64_t batch, int64_t channels,
-                int64_t height, int64_t width, float* out);
+/// \brief Raw-buffer RowsToNchw that also adds `bias[c]` (length
+/// `channels`; null adds nothing) to every element as it is written, so
+/// each element is `rows + bias` once, as after AddRowBias. `out` holds
+/// batch*channels*height*width floats and is fully overwritten. Images run
+/// in parallel.
+void RowsToNchw(const float* rows, const float* bias, int64_t batch,
+                int64_t channels, int64_t height, int64_t width, float* out);
 
 /// \brief Inverse of RowsToNchw.
 Tensor NchwToRows(const Tensor& nchw);
 
 /// \brief NchwToRows into a caller-owned [N, M] buffer (fully overwritten).
+/// Images run in parallel.
 void NchwToRows(const Tensor& nchw, float* out);
+
+/// \brief out[c] = sum of channel c over all (n, y, x) of a [Nb, C, H, W]
+/// tensor: the column sums of its NchwToRows layout, in the same order
+/// (from 0.0f, ascending (n, y, x)), so bit-identical to ColumnSumsInto
+/// of that layout. Channels run in parallel.
+void NchwChannelSums(const Tensor& nchw, float* out);
 
 /// \brief grad_input = Col2Im(dy * W^T), the input gradient of a conv
 /// layer (Eq. 3), without building the N x K product. dy is [N, M] rows,

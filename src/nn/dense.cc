@@ -41,7 +41,8 @@ Tensor Dense::Backward(const Tensor& grad_output) {
 
   GemmTransA(cached_input_.data(), grad_output.data(), grad_weight_.data(),
              in_features_, batch, out_features_);
-  grad_bias_ = ColumnSums(grad_output);
+  ColumnSumsInto(grad_output.data(), batch, out_features_,
+                 grad_bias_.data());
 
   Tensor grad_input(Shape({batch, in_features_}));
   GemmTransB(grad_output.data(), weight_.data(), grad_input.data(), batch,

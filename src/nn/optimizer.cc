@@ -3,8 +3,17 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace adr {
+
+namespace {
+
+// Adam's update per element: two moment updates, a square root and a
+// divide.
+constexpr int64_t kAdamOpsPerElement = 16;
+
+}  // namespace
 
 void Optimizer::ApplyWeightDecay(const std::vector<Tensor*>& params) {
   if (weight_decay_ == 0.0f) return;
@@ -72,11 +81,14 @@ void Adam::Step(const std::vector<Tensor*>& params,
     float* m = m_[i].data();
     float* v = v_[i].data();
     const int64_t n = params[i]->num_elements();
-    for (int64_t j = 0; j < n; ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-      p[j] -= step * m[j] / (std::sqrt(v[j]) + epsilon_);
-    }
+    ParallelFor(n, GrainForCost(kAdamOpsPerElement),
+                [&](int64_t begin, int64_t end) {
+                  for (int64_t j = begin; j < end; ++j) {
+                    m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
+                    v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
+                    p[j] -= step * m[j] / (std::sqrt(v[j]) + epsilon_);
+                  }
+                });
   }
   ApplyWeightDecay(params);
 }

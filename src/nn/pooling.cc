@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace adr {
 
@@ -25,20 +26,28 @@ Tensor MaxPool2d::Forward(const Tensor& input, bool /*training*/) {
   const int64_t ih = input.shape()[2], iw = input.shape()[3];
   const int64_t oh = PooledSize(ih, config_.kernel, config_.stride);
   const int64_t ow = PooledSize(iw, config_.kernel, config_.stride);
+  const int64_t window = config_.kernel * config_.kernel;
 
   Tensor out(Shape({batch, channels, oh, ow}));
-  argmax_.assign(static_cast<size_t>(out.num_elements()), 0);
+  // Every entry is written below, so a resize is enough.
+  argmax_.resize(static_cast<size_t>(out.num_elements()));
   const float* src = input.data();
   float* dst = out.data();
-  int64_t out_idx = 0;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      const float* plane = src + (n * channels + c) * ih * iw;
-      const int64_t plane_base = (n * channels + c) * ih * iw;
+  int64_t* argmax = argmax_.data();
+  // One (n, c) plane per index: a plane's windows read only that plane.
+  ParallelFor(batch * channels, GrainForCost(oh * ow * window),
+              [&](int64_t begin, int64_t end) {
+    for (int64_t q = begin; q < end; ++q) {
+      const int64_t plane_base = q * ih * iw;
+      const float* plane = src + plane_base;
+      int64_t out_idx = q * oh * ow;
       for (int64_t oy = 0; oy < oh; ++oy) {
         for (int64_t ox = 0; ox < ow; ++ox) {
           float best = -std::numeric_limits<float>::infinity();
-          int64_t best_idx = 0;
+          // A window with no value above -inf (all NaN or -inf) routes its
+          // gradient to its first element, inside this plane.
+          int64_t best_idx =
+              plane_base + oy * config_.stride * iw + ox * config_.stride;
           for (int64_t ky = 0; ky < config_.kernel; ++ky) {
             const int64_t y = oy * config_.stride + ky;
             for (int64_t kx = 0; kx < config_.kernel; ++kx) {
@@ -51,25 +60,37 @@ Tensor MaxPool2d::Forward(const Tensor& input, bool /*training*/) {
             }
           }
           dst[out_idx] = best;
-          argmax_[static_cast<size_t>(out_idx)] = best_idx;
+          argmax[out_idx] = best_idx;
           ++out_idx;
         }
       }
     }
-  }
+  });
   return out;
 }
 
 Tensor MaxPool2d::Backward(const Tensor& grad_output) {
-  ADR_CHECK_EQ(static_cast<size_t>(grad_output.num_elements()),
-               argmax_.size())
+  ADR_CHECK(input_shape_.rank() == 4 &&
+            static_cast<size_t>(grad_output.num_elements()) == argmax_.size())
       << "Backward before Forward";
   Tensor grad_input(input_shape_);
   float* dst = grad_input.data();
   const float* src = grad_output.data();
-  for (size_t i = 0; i < argmax_.size(); ++i) {
-    dst[argmax_[i]] += src[i];
-  }
+  const int64_t* argmax = argmax_.data();
+  // Plane q's outputs point only into plane q of the input, so chunks of
+  // planes write disjoint ranges and keep each plane's add order, also
+  // when windows overlap. A chunk's cost is the input planes its adds
+  // land in.
+  const int64_t ih = input_shape_[2], iw = input_shape_[3];
+  const int64_t planes = input_shape_[0] * input_shape_[1];
+  const int64_t plane_outputs = PooledSize(ih, config_.kernel, config_.stride) *
+                                PooledSize(iw, config_.kernel, config_.stride);
+  ParallelFor(planes, GrainForCost(ih * iw),
+              [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin * plane_outputs; i < end * plane_outputs; ++i) {
+      dst[argmax[i]] += src[i];
+    }
+  });
   return grad_input;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/parallel.h"
+
 namespace adr {
 
 void AddInPlace(const Tensor& in, Tensor* out) {
@@ -50,9 +52,11 @@ void AddRowBias(const Tensor& bias, Tensor* out) {
 
 void AddRowBias(const float* bias, float* out, int64_t m_rows,
                 int64_t n_cols) {
-  for (int64_t i = 0; i < m_rows; ++i) {
-    for (int64_t j = 0; j < n_cols; ++j) out[i * n_cols + j] += bias[j];
-  }
+  ParallelFor(m_rows, GrainForCost(n_cols), [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      for (int64_t j = 0; j < n_cols; ++j) out[i * n_cols + j] += bias[j];
+    }
+  });
 }
 
 double Sum(const Tensor& t) {
@@ -60,14 +64,6 @@ double Sum(const Tensor& t) {
   const float* p = t.data();
   for (int64_t i = 0; i < t.num_elements(); ++i) s += p[i];
   return s;
-}
-
-Tensor ColumnSums(const Tensor& matrix) {
-  ADR_CHECK_EQ(matrix.shape().rank(), 2);
-  const int64_t m = matrix.shape()[0], n = matrix.shape()[1];
-  Tensor out(Shape({n}));
-  ColumnSumsInto(matrix.data(), m, n, out.data());
-  return out;
 }
 
 void ColumnSumsInto(const float* src, int64_t m, int64_t n, float* dst) {

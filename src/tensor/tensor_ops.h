@@ -27,20 +27,19 @@ void Axpy(float scale, const Tensor& in, Tensor* out);
 /// \brief Adds `bias` (length n) to every row of the MxN matrix `out`.
 void AddRowBias(const Tensor& bias, Tensor* out);
 
-/// \brief Raw-pointer AddRowBias for arena-backed buffers; same serial
-/// loop, so results are bit-identical.
+/// \brief Raw-pointer AddRowBias for arena-backed buffers. Rows run in
+/// parallel; each element is still `out + bias` once.
 void AddRowBias(const float* bias, float* out, int64_t m_rows,
                 int64_t n_cols);
 
 /// \brief Sum over all elements.
 double Sum(const Tensor& t);
 
-/// \brief Column-wise sum of an MxN matrix into a length-N tensor.
-Tensor ColumnSums(const Tensor& matrix);
-
-/// \brief Raw-pointer ColumnSums into a caller-owned (e.g. arena) buffer;
-/// `dst` (length n) is overwritten. Same serial accumulation order as
-/// ColumnSums, so results are bit-identical.
+/// \brief Column-wise sums of an MxN matrix into a caller-owned (e.g.
+/// arena) buffer; `dst` (length n) is overwritten. Each column starts
+/// from 0.0f and adds rows in ascending order. Serial: the only split that
+/// keeps that order is by columns, and its strided reads lose to one
+/// sequential pass at 1-2 threads (2.5 vs 5.5 ms at 100000 x 64).
 void ColumnSumsInto(const float* src, int64_t m, int64_t n, float* dst);
 
 /// \brief Mean of all elements.

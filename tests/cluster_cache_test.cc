@@ -23,20 +23,14 @@
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
+#include "tests/thread_count_guard.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 namespace adr {
 namespace {
 
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
-  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
-
- private:
-  int saved_;
-};
+using testutil::ThreadCountGuard;
 
 LshSignature MakeSignature(uint64_t a, uint64_t b = 0) {
   LshSignature sig;

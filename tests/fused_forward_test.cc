@@ -19,6 +19,7 @@
 #include "tensor/workspace_arena.h"
 #include "tests/clustered_forward_reference.h"
 #include "tests/kernel_harness.h"
+#include "tests/thread_count_guard.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -29,14 +30,7 @@ using testutil::Backends;
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
-  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
-
- private:
-  int saved_;
-};
+using testutil::ThreadCountGuard;
 
 // Geometry chosen so the driver runs several L2 tiles whose
 // boundaries do NOT align with the per-image group boundaries:

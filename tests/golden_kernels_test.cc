@@ -24,6 +24,7 @@
 #include "tests/gradient_check.h"
 #include "tests/kernel_harness.h"
 #include "tests/matrix_reuse.h"
+#include "tests/thread_count_guard.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -418,10 +419,7 @@ std::vector<float> HashSweepRows(int64_t rows, int64_t stride, int64_t dim,
 // register and word boundary, L every 128-deep k block; row counts are
 // not multiples of any row tile.
 TEST(GoldenKernels, ProjectSignsMatchReferenceHashRowsBitwise) {
-  struct ThreadCountGuard {
-    int saved = ThreadPool::GlobalThreads();
-    ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved); }
-  } thread_guard;
+  testutil::ThreadCountGuard thread_guard;
   const int hashes[] = {1, 7, 8, 12, 16, 20, 24, 63, 64, 65, 96, 128};
   const int64_t lengths[] = {1, 3, 10, 25, 128, 129, 300};
   const int64_t row_counts[] = {1, 13, 131};

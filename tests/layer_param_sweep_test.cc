@@ -10,6 +10,7 @@
 #include "nn/conv2d.h"
 #include "nn/pooling.h"
 #include "tensor/tensor_ops.h"
+#include "tests/serial_pass_reference.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -123,9 +124,8 @@ TEST_P(ReuseShapeSweep, ForwardBackwardShapesHold) {
   Tensor gin = layer.Backward(grad);
   EXPECT_EQ(gin.shape(), input.shape());
   // Bias gradient is exact regardless of {L, H}.
-  Tensor dy_rows = NchwToRows(grad);
-  EXPECT_TRUE(AllClose(*layer.Gradients()[1], ColumnSums(dy_rows), 1e-4f,
-                       1e-5f));
+  EXPECT_TRUE(AllClose(*layer.Gradients()[1],
+                       testutil::ReferenceConvBiasGrad(grad), 1e-4f, 1e-5f));
   // r_c bounded.
   EXPECT_GT(layer.GetReuseStats()->avg_remaining_ratio, 0.0);
   EXPECT_LE(layer.GetReuseStats()->avg_remaining_ratio, 1.0);

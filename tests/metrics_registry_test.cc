@@ -11,19 +11,13 @@
 #include <string>
 
 #include "tests/json_syntax.h"
+#include "tests/thread_count_guard.h"
 #include "util/parallel.h"
 
 namespace adr {
 namespace {
 
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
-  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
-
- private:
-  int saved_;
-};
+using testutil::ThreadCountGuard;
 
 TEST(CounterTest, IncrementsAccumulate) {
   MetricsRegistry registry;

@@ -1,6 +1,7 @@
 // Layer tests: shapes, known values, and finite-difference gradient checks.
 
 #include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -214,6 +215,27 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   EXPECT_EQ(gin.at(1), 7.0f);  // the max was at index 1
   EXPECT_EQ(gin.at(2), 0.0f);
   EXPECT_EQ(gin.at(3), 0.0f);
+}
+
+// A window with no value above -inf keeps its gradient in its own plane,
+// at the window's first element, so backward chunks of planes stay
+// disjoint.
+TEST(MaxPoolTest, NonFiniteWindowRoutesToItsFirstElement) {
+  MaxPool2d pool("pool", PoolConfig{2, 2});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  // Plane 0 is finite; plane 1 holds an all-NaN and an all--inf window.
+  Tensor in(Shape({1, 2, 2, 4}),
+            {1, 2, 3, 4, 5, 6, 7, 8, nan, nan, ninf, ninf, nan, nan, ninf,
+             ninf});
+  pool.Forward(in, false);
+  Tensor grad(Shape({1, 2, 1, 2}), {1.0f, 2.0f, 3.0f, 4.0f});
+  Tensor gin = pool.Backward(grad);
+  EXPECT_EQ(gin.at(5), 1.0f);
+  EXPECT_EQ(gin.at(7), 2.0f);
+  EXPECT_EQ(gin.at(8), 3.0f);   // plane 1, first element of window 0
+  EXPECT_EQ(gin.at(10), 4.0f);  // plane 1, first element of window 1
+  EXPECT_EQ(gin.at(0), 0.0f);
 }
 
 TEST(MaxPoolTest, OverlappingWindows) {

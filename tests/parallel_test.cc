@@ -14,19 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "tests/thread_count_guard.h"
+
 namespace adr {
 namespace {
 
-// Restores the ambient thread count on scope exit so tests that resize the
-// global pool do not leak their setting into other tests.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
-  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
-
- private:
-  int saved_;
-};
+using testutil::ThreadCountGuard;
 
 TEST(ParallelForTest, EmptyRangeNeverCallsFn) {
   std::atomic<int> calls{0};

@@ -17,6 +17,8 @@
 #include "tests/kernel_harness.h"
 #include "tests/matrix_reuse.h"
 #include "tests/reuse_backward_reference.h"
+#include "tests/serial_pass_reference.h"
+#include "tests/thread_count_guard.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -25,14 +27,7 @@ namespace {
 
 using testutil::Backends;
 
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
-  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
-
- private:
-  int saved_;
-};
+using testutil::ThreadCountGuard;
 
 ConvGeometry Geometry(int64_t batch, int64_t channels, int64_t size,
                       int64_t kernel, int64_t stride, int64_t pad) {
@@ -208,7 +203,7 @@ TEST(ReuseBackwardTest, BiasGradientAlwaysExact)
   const ReuseClustering clustering =
       ClusterSubVectors(*families, x.data(), 20, 20);
   const MatrixBackwardResult reuse = MatrixBackward(clustering, w, dy);
-  EXPECT_TRUE(AllClose(reuse.grad_bias, ColumnSums(dy)));
+  EXPECT_TRUE(AllClose(reuse.grad_bias, testutil::ReferenceColumnSums(dy)));
 }
 
 TEST(ReuseBackwardTest, WeightGradUsesClusterSums) {

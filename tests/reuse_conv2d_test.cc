@@ -125,8 +125,9 @@ TEST(ReuseConv2dTest, ExactBackwardFlagMatchesConv2dAlways) {
   Tensor exact_gin = baseline.Backward(grad_out);
   reuse.Forward(in, true);
   Tensor reuse_gin = reuse.Backward(grad_out);
-  // Both layers run the same Im2Col, GemmTransA, ColumnSumsInto and
-  // ConvBackwardInput: the gradients are bitwise equal.
+  // Both layers run the same Im2Col, GemmTransA and ConvBackwardInput,
+  // and sum db in the same order (ColumnSumsInto on the rows,
+  // NchwChannelSums on the planes): the gradients are bitwise equal.
   EXPECT_EQ(MaxAbsDiff(reuse_gin, exact_gin), 0.0f);
   EXPECT_EQ(MaxAbsDiff(*reuse.Gradients()[0], *baseline.Gradients()[0]),
             0.0f);

@@ -145,8 +145,8 @@ TEST(TensorOpsTest, Reductions) {
 
 TEST(TensorOpsTest, ColumnSums) {
   Tensor m(Shape({2, 3}), {1.0f, 2.0f, 3.0f, 10.0f, 20.0f, 30.0f});
-  Tensor sums = ColumnSums(m);
-  EXPECT_EQ(sums.shape(), Shape({3}));
+  Tensor sums(Shape({3}), {-1.0f, -1.0f, -1.0f});  // overwritten, not added to
+  ColumnSumsInto(m.data(), 2, 3, sums.data());
   EXPECT_EQ(sums.at(0), 11.0f);
   EXPECT_EQ(sums.at(2), 33.0f);
 }

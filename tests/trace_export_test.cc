@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "tests/json_syntax.h"
+#include "tests/thread_count_guard.h"
 #include "util/parallel.h"
 
 namespace adr {
@@ -32,14 +33,7 @@ class TracerGuard {
   }
 };
 
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(ThreadPool::GlobalThreads()) {}
-  ~ThreadCountGuard() { ThreadPool::SetGlobalThreads(saved_); }
-
- private:
-  int saved_;
-};
+using testutil::ThreadCountGuard;
 
 std::vector<TraceEvent> EventsNamed(const std::vector<TraceEvent>& events,
                                     const std::string& name) {
