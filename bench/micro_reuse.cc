@@ -127,12 +127,13 @@ BENCHMARK(BM_ReuseBackward)->Apply([](benchmark::internal::Benchmark* b) {
   ThreadsLHArgs(b, {{100, 8}, {25, 12}});
 });
 
-// The layer backward at the reuse-vs-dense probe shape: batch 32, 32 -> 64
+// The conv layer at the reuse-vs-dense probe shape: batch 32, 32 -> 64
 // channels, 5 x 5 kernel, pad 2, on 16 x 16 inputs of uniform noise under
 // a 5 x 5 box blur (N = 8192, K = 800, M = 64). H = 0 runs the dense
-// Conv2d; otherwise ReuseConv2d at (L, H). Each iteration times one
-// Backward after an untimed training Forward; the reuse/dense ratio of
-// two rows at equal threads is the backward's measured speed-up.
+// Conv2d; otherwise ReuseConv2d at (L, H). BM_ConvForward times one
+// training Forward; BM_ConvBackward times one Backward after an untimed
+// training Forward. The reuse/dense ratio of two rows at equal threads is
+// the pass's measured speed-up.
 const Tensor& BlurredConvInput() {
   static const Tensor* input = [] {
     constexpr int64_t kBatch = 32, kChannels = 32, kSize = 16, kRadius = 2;
@@ -164,9 +165,8 @@ const Tensor& BlurredConvInput() {
   return *input;
 }
 
-void BM_ConvBackward(benchmark::State& state) {
-  SetupThreads(state);
-  const Tensor& input = BlurredConvInput();
+std::unique_ptr<Layer> ProbeConvLayer(const benchmark::State& state,
+                                      const Tensor& input) {
   Conv2dConfig config;
   config.in_channels = input.shape()[1];
   config.out_channels = 64;
@@ -175,15 +175,39 @@ void BM_ConvBackward(benchmark::State& state) {
   config.in_height = input.shape()[2];
   config.in_width = input.shape()[3];
   Rng rng(31);
-  std::unique_ptr<Layer> layer;
   if (state.range(2) == 0) {
-    layer = std::make_unique<Conv2d>("dense", config, &rng);
-  } else {
-    ReuseConfig reuse;
-    reuse.sub_vector_length = state.range(1);
-    reuse.num_hashes = static_cast<int>(state.range(2));
-    layer = std::make_unique<ReuseConv2d>("reuse", config, reuse, &rng);
+    return std::make_unique<Conv2d>("dense", config, &rng);
   }
+  ReuseConfig reuse;
+  reuse.sub_vector_length = state.range(1);
+  reuse.num_hashes = static_cast<int>(state.range(2));
+  return std::make_unique<ReuseConv2d>("reuse", config, reuse, &rng);
+}
+
+void ProbeConvArgs(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"threads", "L", "H"})
+      ->ArgsProduct({{1, 4}, {0}, {0}})
+      ->ArgsProduct({{1, 4}, {25}, {12}})
+      ->ArgsProduct({{1, 4}, {100}, {10}})
+      ->UseRealTime();
+}
+
+void BM_ConvForward(benchmark::State& state) {
+  SetupThreads(state);
+  const Tensor& input = BlurredConvInput();
+  const std::unique_ptr<Layer> layer = ProbeConvLayer(state, input);
+  for (auto _ : state) {
+    Tensor output = layer->Forward(input, /*training=*/true);
+    benchmark::DoNotOptimize(output.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ConvForward)->Apply(ProbeConvArgs);
+
+void BM_ConvBackward(benchmark::State& state) {
+  SetupThreads(state);
+  const Tensor& input = BlurredConvInput();
+  const std::unique_ptr<Layer> layer = ProbeConvLayer(state, input);
   Tensor grad_output = layer->Forward(input, /*training=*/true);
   {
     Rng dy_rng(37);
@@ -198,12 +222,7 @@ void BM_ConvBackward(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_ConvBackward)
-    ->ArgNames({"threads", "L", "H"})
-    ->ArgsProduct({{1, 4}, {0}, {0}})
-    ->ArgsProduct({{1, 4}, {25}, {12}})
-    ->ArgsProduct({{1, 4}, {100}, {10}})
-    ->UseRealTime();
+BENCHMARK(BM_ConvBackward)->Apply(ProbeConvArgs);
 
 // An unfolded matrix for BM_ClusterOnly, with its width and row count.
 struct ClusterRows {

@@ -16,7 +16,8 @@ BUILD_DIR="${1:-build}"
 # Keep the run short: the point is the JSON plumbing and a coarse
 # trajectory, not publication-grade numbers.
 MIN_TIME="${ADR_BENCH_MIN_TIME:-0.01}"
-FILTER="${ADR_BENCH_FILTER:-threads:1}"
+# The 1- and 4-thread rows: the single-core cost and the scaling.
+FILTER="${ADR_BENCH_FILTER:-threads:[14](/|\$)}"
 
 for suite in micro_kernels micro_reuse; do
   bin="$BUILD_DIR/bench/$suite"

@@ -14,10 +14,6 @@ namespace adr {
 
 namespace {
 
-// Enough fold groups to keep a few threads busy; at most one per image
-// (ConvBackwardInput's rule).
-constexpr int64_t kMaxFoldGroups = 8;
-
 // Fills `tile` (rows x K) with rows [row0, row0 + rows) of the unfolded
 // input delta: row i, block I holds dx_c of block I at i's cluster.
 // Block I's dx_c is |C_I| x L_I at dx_c + first[I] * dx_stride.
@@ -139,33 +135,14 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
     macs += static_cast<double>(num_clusters) * block.length * m;
   }
 
-  // Fold (Eq. 13 then col2im): each group zeroes its images, then fills
-  // one L2-sized tile at a time with member rows of dx_c and accumulates
-  // it into grad_input. A tile may span images; each image still receives
-  // its own rows in ascending order, as in Col2Im.
-  const int64_t rows_per_image = geo.rows_per_image();
-  const int64_t img_size = geo.in_channels * geo.in_height * geo.in_width;
-  const int64_t groups = std::min(geo.batch, kMaxFoldGroups);
-  const int64_t tile_rows =
-      std::min(L2TileRows(k),
-               (geo.batch + groups - 1) / groups * rows_per_image);
-  float* tiles = scratch.Floats(groups * tile_rows * k);
-  ParallelFor(groups, 1, [&](int64_t g_begin, int64_t g_end) {
-    for (int64_t g = g_begin; g < g_end; ++g) {
-      float* tile = tiles + g * tile_rows * k;
-      const int64_t img_begin = g * geo.batch / groups;
-      const int64_t img_end = (g + 1) * geo.batch / groups;
-      std::fill(grad_input + img_begin * img_size,
-                grad_input + img_end * img_size, 0.0f);
-      const int64_t row_end = img_end * rows_per_image;
-      for (int64_t row = img_begin * rows_per_image; row < row_end;
-           row += tile_rows) {
-        const int64_t rows = std::min(tile_rows, row_end - row);
-        FillDeltaRows(clustering, dx_c, first, dx_stride, row, rows, tile);
-        Col2ImRows(geo, tile, row, row + rows, grad_input);
-      }
-    }
-  });
+  // Fold (Eq. 13 then col2im): each L2-sized tile is filled with member
+  // rows of dx_c and accumulated into grad_input.
+  Col2ImTiles(geo, L2TileRows(k), arena,
+              [&](int64_t row, int64_t rows, float* tile) {
+                FillDeltaRows(clustering, dx_c, first, dx_stride, row, rows,
+                              tile);
+              },
+              grad_input);
 
   *stats = ReuseLayerStats{};
   stats->backward_seconds = timer.ElapsedSeconds();

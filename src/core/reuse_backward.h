@@ -39,10 +39,9 @@ namespace adr {
 /// L2-sized row tile per fold group) bumps from `arena`, or from the heap
 /// when it is null.
 ///
-/// The fold is the reuse twin of ConvBackwardInput: image groups run in
-/// parallel; each fills a row tile with dx_c[cluster(row, I)] for every
-/// block I and accumulates it into grad_input with Col2ImRows. No N x K
-/// matrix is built, and grad_input is bitwise what scattering dx_c to an
+/// The fold is Col2ImTiles, as in ConvBackwardInput: each row tile is
+/// filled with dx_c[cluster(row, I)] for every block I. No N x K matrix
+/// is built, and grad_input is bitwise what scattering dx_c to an
 /// N x K matrix and calling Col2Im would give. `stats` is overwritten with
 /// this call's record.
 void ReuseBackwardInto(const ReuseClustering& clustering,

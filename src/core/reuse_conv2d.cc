@@ -1,11 +1,7 @@
 #include "core/reuse_conv2d.h"
 
-#include <cmath>
-
 #include "core/complexity_model.h"
 #include "core/reuse_backward.h"
-#include "tensor/gemm.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/metrics_registry.h"
 #include "util/timer.h"
@@ -15,9 +11,9 @@ namespace adr {
 
 ReuseConv2d::ReuseConv2d(std::string name, const Conv2dConfig& config,
                          const ReuseConfig& reuse, Rng* rng)
-    : name_(std::move(name)), config_(config), reuse_(reuse) {
+    : Conv2d(std::move(name), config, rng), reuse_(reuse) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  const std::string prefix = "reuse/" + name_ + "/";
+  const std::string prefix = "reuse/" + this->name() + "/";
   const auto counter = [&](const char* series) {
     return registry.counter(prefix + series);
   };
@@ -33,7 +29,6 @@ ReuseConv2d::ReuseConv2d(std::string name, const Conv2dConfig& config,
               gauge("reuse_rate"),
               gauge("clusters"),
               counter("clusters_reused"),
-              histogram("im2col_seconds"),
               histogram("hash_seconds"),
               histogram("gemm_seconds"),
               histogram("backward_seconds"),
@@ -50,15 +45,7 @@ ReuseConv2d::ReuseConv2d(std::string name, const Conv2dConfig& config,
               histogram("cache_probe_length")};
 
   const int64_t k = unfolded_cols();
-  const int64_t m = config_.out_channels;
-  ADR_CHECK_GT(k, 0);
-  ADR_CHECK_GT(m, 0);
   ADR_CHECK(reuse_.Validate(k).ok()) << reuse_.Validate(k).ToString();
-  const float stddev = std::sqrt(2.0f / static_cast<float>(k));
-  weight_ = Tensor::RandomGaussian(Shape({k, m}), rng, 0.0f, stddev);
-  bias_ = Tensor(Shape({m}));
-  grad_weight_ = Tensor(Shape({k, m}));
-  grad_bias_ = Tensor(Shape({m}));
   RebuildFamilies();
 }
 
@@ -102,83 +89,54 @@ Status ReuseConv2d::SetReuseConfig(const ReuseConfig& reuse) {
   return Status::OK();
 }
 
-ConvGeometry ReuseConv2d::Geometry(int64_t batch) const {
-  ConvGeometry geo;
-  geo.batch = batch;
-  geo.in_channels = config_.in_channels;
-  geo.in_height = config_.in_height;
-  geo.in_width = config_.in_width;
-  geo.kernel_h = config_.kernel;
-  geo.kernel_w = config_.kernel;
-  geo.stride = config_.stride;
-  geo.pad = config_.pad;
-  return geo;
-}
-
 Tensor ReuseConv2d::Forward(const Tensor& input, bool training) {
   ADR_TRACE_SPAN("ReuseConv2d::Forward");
-  const int64_t batch = input.shape()[0];
-  const ConvGeometry geo = Geometry(batch);
-  const int64_t n = geo.unfolded_rows();
-  const int64_t k = geo.unfolded_cols();
-  const int64_t m = config_.out_channels;
-
-  // One arena epoch spans Forward and the matching Backward; everything
-  // handed out since the previous Reset() is invalidated here.
-  arena_.Reset();
-  cached_cols_data_ = nullptr;
   // Donate last step's clustering buffers before this step builds new
   // ones — at fixed shapes the capacity round-trips and no allocation
   // happens.
   clusterer_.Recycle(std::move(cached_clustering_));
   cached_clustering_ = ReuseClustering{};
-  // Eval mode caches nothing: Backward requires a training Forward.
-  cached_batch_ = training ? batch : 0;
-
-  // The N x K unfolded input exists only where something reads it whole:
-  // the dense GEMM and the exact backward (which keeps it, arena-owned,
-  // for Backward). The clustered forward always unfolds tile by tile
-  // inside ClusteredForward, also when the exact backward keeps `cols`.
-  float* cols = nullptr;
-  if (!reuse_.enabled || (training && exact_backward_)) {
-    cols = arena_.AllocFloats(n * k);
-    ADR_TRACE_SPAN("im2col");
-    Timer im2col_timer;
-    Im2Col(geo, input.data(), cols);
-    metrics_.im2col_seconds->Record(im2col_timer.ElapsedSeconds());
-    if (training) cached_cols_data_ = cols;
-  }
-  float* y = arena_.AllocFloats(n * m);
+  const int64_t batch = input.shape()[0];
 
   ReuseLayerStats call;
+  Tensor out;
   if (!reuse_.enabled) {
-    // Dense path: identical to Conv2d. Every row is its own cluster.
-    Gemm(cols, weight_.data(), y, n, k, m);
+    // Dense path: Conv2d's. Every row is its own cluster.
+    out = Conv2d::Forward(input, training);
     call.forward_calls = 1;
     call.avg_remaining_ratio = 1.0;
-    call.macs_executed = static_cast<double>(n) * k * m;
+    call.macs_executed = ForwardMacs(batch);
     call.macs_baseline = call.macs_executed;
   } else {
+    const ConvGeometry geo = Geometry(batch);
+    const int64_t m = config().out_channels;
+    // One arena epoch spans Forward and the matching Backward; everything
+    // handed out since the previous Reset() is invalidated here.
+    WorkspaceArena* arena = mutable_workspace();
+    arena->Reset();
+    // The exact backward reads Conv2d's unfolded input; the clustered
+    // forward unfolds tile by tile inside ClusteredForward regardless.
+    KeepUnfoldedInput(input, training && exact_backward_);
+    float* y = arena->AllocFloats(geo.unfolded_rows() * m);
     const int64_t rows_per_group =
         reuse_.scope == ClusterScope::kSingleInput ? geo.rows_per_image()
-                                                   : n;
+                                                   : geo.unfolded_rows();
     ReuseClustering clustering;
-    ClusteredForward(families_, geo, input.data(), weight_, &bias_,
-                     rows_per_group, cache_.get(), &arena_, &clusterer_, y,
+    ClusteredForward(families_, geo, input.data(), weight(), &bias(),
+                     rows_per_group, cache_.get(), arena, &clusterer_, y,
                      &clustering, &call);
     if (training) {
       cached_clustering_ = std::move(clustering);
     } else {
       clusterer_.Recycle(std::move(clustering));
     }
+    // ClusteredForward added the bias.
+    out = Tensor(Shape({batch, m, geo.out_height(), geo.out_width()}));
+    RowsToNchw(y, /*bias=*/nullptr, batch, m, geo.out_height(),
+               geo.out_width(), out.data());
   }
   stats_.Add(call);
   Publish(call);
-
-  // The dense path adds its bias here; ClusteredForward added its own.
-  Tensor out(Shape({batch, m, geo.out_height(), geo.out_width()}));
-  RowsToNchw(y, reuse_.enabled ? nullptr : bias_.data(), batch, m,
-             geo.out_height(), geo.out_width(), out.data());
   return out;
 }
 
@@ -200,7 +158,7 @@ void ReuseConv2d::Publish(const ReuseLayerStats& call) {
     // baseline of this batch.
     ComplexityParams params;
     params.k = unfolded_cols();
-    params.m = config_.out_channels;
+    params.m = config().out_channels;
     params.l = reuse_.EffectiveLength(params.k);
     params.h = reuse_.num_hashes;
     params.rc = call.avg_remaining_ratio;
@@ -244,66 +202,48 @@ void ReuseConv2d::Publish(const ReuseLayerStats& call) {
     metrics_.backward_seconds->Record(call.backward_seconds);
   }
 
-  metrics_.workspace_bytes->Set(static_cast<double>(arena_.reserved_bytes()));
+  const WorkspaceArena& arena = workspace();
+  metrics_.workspace_bytes->Set(static_cast<double>(arena.reserved_bytes()));
   // Hot-path slab allocations since the last publish; 0 at every publish
   // once the arena plan is warm — the counter's total therefore converges
   // after the first step at fixed shapes.
-  metrics_.allocations_per_step->Increment(arena_.alloc_slabs() -
+  metrics_.allocations_per_step->Increment(arena.alloc_slabs() -
                                            published_alloc_slabs_);
-  published_alloc_slabs_ = arena_.alloc_slabs();
+  published_alloc_slabs_ = arena.alloc_slabs();
 }
 
 Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
   ADR_TRACE_SPAN("ReuseConv2d::Backward");
-  ADR_CHECK_GT(cached_batch_, 0)
-      << "Backward requires a preceding training-mode Forward";
-  const ConvGeometry geo = Geometry(cached_batch_);
-  const int64_t n = geo.unfolded_rows();
-  const int64_t k = geo.unfolded_cols();
-  const int64_t m = config_.out_channels;
-
-  ADR_CHECK(grad_output.shape() == Shape({cached_batch_, m,
-                                          geo.out_height(),
-                                          geo.out_width()}));
-  float* dy = arena_.AllocFloats(n * m);
-  NchwToRows(grad_output, dy);
-  Tensor grad_input(Shape({cached_batch_, config_.in_channels,
-                           config_.in_height, config_.in_width}));
-
+  const int64_t batch = grad_output.shape()[0];
   ReuseLayerStats call;
+  Tensor grad_input;
   if (exact_backward_ || !reuse_.enabled) {
-    // Ablation path: exact gradients from the cached unfolded input.
+    // Ablation path: Conv2d's exact gradients from its unfolded input.
     Timer timer;
-    ADR_CHECK(cached_cols_data_ != nullptr)
-        << "exact_backward requires the unfolded input cached in Forward";
-    GemmTransA(cached_cols_data_, dy, grad_weight_.data(), k, n, m);
-    ColumnSumsInto(dy, n, m, grad_bias_.data());
-    ConvBackwardInput(geo, dy, weight_.data(), m, &arena_,
-                      grad_input.data());
+    grad_input = Conv2d::Backward(grad_output);
     call.backward_seconds = timer.ElapsedSeconds();
-    call.macs_executed = 2.0 * static_cast<double>(n) * k * m;
+    call.macs_executed = 2.0 * ForwardMacs(batch);
     call.macs_baseline = call.macs_executed;
   } else {
-    ReuseBackwardInto(cached_clustering_, weight_, dy, geo, &arena_,
-                      grad_weight_.data(), grad_bias_.data(),
+    const ConvGeometry geo = Geometry(batch);
+    const int64_t n = geo.unfolded_rows();
+    const int64_t m = config().out_channels;
+    ADR_CHECK_EQ(cached_clustering_.num_rows, n)
+        << "Backward requires a preceding training-mode Forward";
+    ADR_CHECK(grad_output.shape() ==
+              Shape({batch, m, geo.out_height(), geo.out_width()}));
+    WorkspaceArena* arena = mutable_workspace();
+    float* dy = arena->AllocFloats(n * m);
+    NchwToRows(grad_output, dy);
+    grad_input = Tensor(Shape({batch, config().in_channels,
+                               config().in_height, config().in_width}));
+    ReuseBackwardInto(cached_clustering_, weight(), dy, geo, arena,
+                      grad_weight().data(), grad_bias().data(),
                       grad_input.data(), &call);
   }
   stats_.Add(call);
   Publish(call);
   return grad_input;
-}
-
-double ReuseConv2d::ForwardMacs(int64_t batch) const {
-  const ConvGeometry geo = Geometry(batch);
-  return static_cast<double>(geo.unfolded_rows()) * geo.unfolded_cols() *
-         config_.out_channels;
-}
-
-void ReuseConv2d::CopyWeightsFrom(const Conv2d& baseline) {
-  ADR_CHECK(weight_.SameShape(baseline.weight()))
-      << "weight shape mismatch copying into " << name_;
-  weight_ = baseline.weight();
-  bias_ = baseline.bias();
 }
 
 void ReuseConv2d::ClearCache() {

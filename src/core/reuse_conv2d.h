@@ -1,7 +1,8 @@
-// ReuseConv2d: drop-in replacement for Conv2d that runs adaptive deep
-// reuse — LSH-clustered forward (Section III) and clustering-reusing
-// backward (Section IV). The ReuseConfig can be changed between batches,
-// which is how the adaptive strategies of Section V drive the layer.
+// ReuseConv2d: a Conv2d that runs adaptive deep reuse — LSH-clustered
+// forward (Section III) and clustering-reusing backward (Section IV). With
+// reuse off it runs Conv2d's passes, and with the exact backward Conv2d's
+// backward. The ReuseConfig can be changed between batches, which is how
+// the adaptive strategies of Section V drive the layer.
 
 #ifndef ADR_CORE_REUSE_CONV2D_H_
 #define ADR_CORE_REUSE_CONV2D_H_
@@ -14,10 +15,7 @@
 #include "core/reuse_config.h"
 #include "core/subvector_clustering.h"
 #include "nn/conv2d.h"
-#include "nn/layer.h"
 #include "nn/reuse_stats.h"  // ReuseLayerStats lives with the Layer API
-#include "tensor/im2col.h"
-#include "tensor/workspace_arena.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -27,22 +25,18 @@ class Counter;
 class Gauge;
 class Histogram;
 
-/// \brief Convolution layer accelerated by adaptive deep reuse.
-class ReuseConv2d : public Layer {
+/// \brief Convolution layer accelerated by adaptive deep reuse. Weights,
+/// gradients, geometry and the workspace arena are Conv2d's.
+class ReuseConv2d : public Conv2d {
  public:
-  /// \brief Fresh layer with He-initialized weights (same init as Conv2d
-  /// given the same `rng` state).
+  /// \brief Fresh layer whose Conv2d base is built from the same
+  /// (name, config, rng), so its weights equal a Conv2d's given the same
+  /// `rng` state.
   ReuseConv2d(std::string name, const Conv2dConfig& config,
               const ReuseConfig& reuse, Rng* rng);
 
-  std::string name() const override { return name_; }
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
-  std::vector<Tensor*> Parameters() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> Gradients() override {
-    return {&grad_weight_, &grad_bias_};
-  }
-  double ForwardMacs(int64_t batch) const override;
 
   /// \brief Applies a new clustering configuration; regenerates the LSH
   /// families and clears the cluster-reuse cache if (L, H, seed) changed.
@@ -56,18 +50,9 @@ class ReuseConv2d : public Layer {
   void set_exact_backward(bool exact) { exact_backward_ = exact; }
   bool exact_backward() const { return exact_backward_; }
 
-  const Conv2dConfig& config() const { return config_; }
-  ConvGeometry Geometry(int64_t batch) const;
   int64_t unfolded_cols() const {
-    return config_.in_channels * config_.kernel * config_.kernel;
+    return config().in_channels * config().kernel * config().kernel;
   }
-
-  Tensor& weight() { return weight_; }
-  Tensor& bias() { return bias_; }
-  const Tensor& weight() const { return weight_; }
-
-  /// \brief Copies weights from a baseline Conv2d with identical geometry.
-  void CopyWeightsFrom(const Conv2d& baseline);
 
   // Layer reuse-telemetry hooks (Network::CollectReuseStats).
   const ReuseLayerStats* GetReuseStats() const override { return &stats_; }
@@ -86,12 +71,6 @@ class ReuseConv2d : public Layer {
   /// SetReuseConfig rebuilds of the cache.
   void SetCacheBudgets(int64_t max_entries, int64_t max_bytes);
 
-  /// \brief The layer's step-scoped scratch arena. After the first
-  /// training step at fixed (batch, config), reserved_bytes() and
-  /// alloc_slabs() stay constant — the zero-allocation steady state the
-  /// workspace_bytes / allocations_per_step metrics expose.
-  const WorkspaceArena& workspace() const { return arena_; }
-
  private:
   /// Handles of the layer's series under "reuse/<name>/" in
   /// MetricsRegistry::Global(), resolved once by the constructor (the
@@ -103,7 +82,6 @@ class ReuseConv2d : public Layer {
     Gauge* reuse_rate;
     Gauge* clusters;
     Counter* clusters_reused;
-    Histogram* im2col_seconds;
     Histogram* hash_seconds;
     Histogram* gemm_seconds;
     Histogram* backward_seconds;
@@ -120,21 +98,13 @@ class ReuseConv2d : public Layer {
     Histogram* cache_probe_length;
   };
 
-  std::string name_;
   MetricHandles metrics_ = {};
-  Conv2dConfig config_;
   ReuseConfig reuse_;
-  Tensor weight_;       ///< [K, M]
-  Tensor bias_;         ///< [M]
-  Tensor grad_weight_;
-  Tensor grad_bias_;
 
   BlockLshFamilies families_;
   std::unique_ptr<ClusterReuseCache> cache_;
   bool exact_backward_ = false;
 
-  /// Step-scoped scratch; Reset() at the top of every Forward.
-  WorkspaceArena arena_;
   /// Persistent clusterer of every LSH forward (its tables and the
   /// clustering buffers recycled through it survive across steps).
   StreamingSubVectorClusterer clusterer_;
@@ -147,13 +117,8 @@ class ReuseConv2d : public Layer {
   /// Cache counters already published, for per-step deltas.
   ClusterReuseCache::Stats published_cache_;
 
-  // State cached between Forward and Backward (training mode only).
+  /// The training Forward's clustering, reused by Backward.
   ReuseClustering cached_clustering_;
-  /// Arena-owned [N, K] unfolded input, valid until the next Reset();
-  /// non-null only after a training Forward that materialized it (reuse
-  /// off, or exact backward).
-  float* cached_cols_data_ = nullptr;
-  int64_t cached_batch_ = 0;
 
   ReuseLayerStats stats_;
 

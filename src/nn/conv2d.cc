@@ -21,15 +21,6 @@ constexpr int64_t kTransposeTile = 64;
 
 }  // namespace
 
-Tensor RowsToNchw(const Tensor& rows, int64_t batch, int64_t channels,
-                  int64_t height, int64_t width) {
-  ADR_CHECK(rows.shape() == Shape({batch * height * width, channels}));
-  Tensor out(Shape({batch, channels, height, width}));
-  RowsToNchw(rows.data(), /*bias=*/nullptr, batch, channels, height, width,
-             out.data());
-  return out;
-}
-
 void RowsToNchw(const float* rows, const float* bias, int64_t batch,
                 int64_t channels, int64_t height, int64_t width,
                 float* out) {
@@ -55,15 +46,6 @@ void RowsToNchw(const float* rows, const float* bias, int64_t batch,
       }
     }
   });
-}
-
-Tensor NchwToRows(const Tensor& nchw) {
-  ADR_CHECK_EQ(nchw.shape().rank(), 4);
-  const int64_t batch = nchw.shape()[0], channels = nchw.shape()[1];
-  const int64_t height = nchw.shape()[2], width = nchw.shape()[3];
-  Tensor out(Shape({batch * height * width, channels}));
-  NchwToRows(nchw, out.data());
-  return out;
 }
 
 void NchwToRows(const Tensor& nchw, float* out) {
@@ -110,35 +92,17 @@ void NchwChannelSums(const Tensor& nchw, float* out) {
 void ConvBackwardInput(const ConvGeometry& geo, const float* dy,
                        const float* weight, int64_t out_channels,
                        WorkspaceArena* arena, float* grad_input) {
-  // Enough groups to keep a few threads busy; at most one per image.
-  constexpr int64_t kMaxGroups = 8;
   const int64_t m = out_channels;
   const int64_t k = geo.unfolded_cols();
-  const int64_t rows_per_image = geo.rows_per_image();
-  const int64_t img_size = geo.in_channels * geo.in_height * geo.in_width;
-  const int64_t groups = std::min(geo.batch, kMaxGroups);
-  // Up to four L2TileRows tiles (~768 KiB): a whole image at CifarNet
-  // shapes, so its dx rows stay in L2 from the GEMM to the fold.
-  const int64_t tile_rows = std::min(rows_per_image, 4 * L2TileRows(k));
-
   float* weight_t = arena->AllocFloats(m * k);  // W^T: [M, K]
   Transpose(weight, k, m, weight_t);
-  float* tiles = arena->AllocFloats(groups * tile_rows * k);
-  ParallelFor(groups, 1, [&](int64_t g_begin, int64_t g_end) {
-    for (int64_t g = g_begin; g < g_end; ++g) {
-      float* tile = tiles + g * tile_rows * k;
-      for (int64_t img = g * geo.batch / groups;
-           img < (g + 1) * geo.batch / groups; ++img) {
-        std::fill_n(grad_input + img * img_size, img_size, 0.0f);
-        for (int64_t r = 0; r < rows_per_image; r += tile_rows) {
-          const int64_t row = img * rows_per_image + r;
-          const int64_t rows = std::min(tile_rows, rows_per_image - r);
-          Gemm(dy + row * m, weight_t, tile, rows, m, k);
-          Col2ImRows(geo, tile, row, row + rows, grad_input);
-        }
-      }
-    }
-  });
+  // Up to four L2TileRows tiles (~768 KiB): a whole image at CifarNet
+  // shapes, so its dx rows stay in L2 from the GEMM to the fold.
+  Col2ImTiles(geo, std::min(geo.rows_per_image(), 4 * L2TileRows(k)), arena,
+              [&](int64_t row, int64_t rows, float* tile) {
+                Gemm(dy + row * m, weight_t, tile, rows, m, k);
+              },
+              grad_input);
 }
 
 Conv2d::Conv2d(std::string name, const Conv2dConfig& config, Rng* rng)
@@ -169,6 +133,21 @@ ConvGeometry Conv2d::Geometry(int64_t batch) const {
   return geo;
 }
 
+void Conv2d::KeepUnfoldedInput(const Tensor& input, bool keep) {
+  if (!keep) {
+    cached_cols_ = Tensor();
+    cached_batch_ = 0;
+    return;
+  }
+  // The tensor persists across steps, so at fixed shapes it is allocated
+  // once.
+  const ConvGeometry geo = Geometry(input.shape()[0]);
+  const Shape shape({geo.unfolded_rows(), geo.unfolded_cols()});
+  if (!(cached_cols_.shape() == shape)) cached_cols_ = Tensor(shape);
+  Im2Col(geo, input, &cached_cols_);
+  cached_batch_ = geo.batch;
+}
+
 Tensor Conv2d::Forward(const Tensor& input, bool training) {
   const int64_t batch = input.shape()[0];
   const ConvGeometry geo = Geometry(batch);
@@ -179,22 +158,14 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
   arena_.Reset();
   float* y = arena_.AllocFloats(n * m);
 
+  KeepUnfoldedInput(input, training);
   if (training) {
-    // Keep the full unfolded input for Backward. The tensor persists
-    // across steps, so at fixed shapes it is allocated once.
-    if (!(cached_cols_.shape() == Shape({n, k}))) {
-      cached_cols_ = Tensor(Shape({n, k}));
-    }
-    Im2Col(geo, input, &cached_cols_);
-    cached_batch_ = batch;
     Gemm(cached_cols_.data(), weight_.data(), y, n, k, m);
   } else {
     // Inference needs no backward state: stream L2-sized row tiles
     // through im2col + GEMM instead of materializing N x K. Rows are
     // independent in both, so the output is bit-identical to the
     // materialized path.
-    cached_cols_ = Tensor();
-    cached_batch_ = 0;
     const int64_t tile_rows = L2TileRows(k);
     float* tile = arena_.AllocFloats(tile_rows * k);
     for (int64_t row = 0; row < n; row += tile_rows) {

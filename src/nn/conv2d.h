@@ -27,24 +27,17 @@ struct Conv2dConfig {
   int64_t in_width = 0;
 };
 
-/// \brief Converts GEMM-output rows [N, M] (row order n, oy, ox) to a
-/// [Nb, M, Oh, Ow] tensor.
-Tensor RowsToNchw(const Tensor& rows, int64_t batch, int64_t channels,
-                  int64_t height, int64_t width);
-
-/// \brief Raw-buffer RowsToNchw that also adds `bias[c]` (length
-/// `channels`; null adds nothing) to every element as it is written, so
-/// each element is `rows + bias` once, as after AddRowBias. `out` holds
+/// \brief Converts GEMM-output rows [N, M] (row order n, oy, ox) to
+/// [Nb, M, Oh, Ow] planes, adding `bias[c]` (length `channels`; null adds
+/// nothing) to every element as it is written, so each element is
+/// `rows + bias` once, as after AddRowBias. `out` holds
 /// batch*channels*height*width floats and is fully overwritten. Images run
 /// in parallel.
 void RowsToNchw(const float* rows, const float* bias, int64_t batch,
                 int64_t channels, int64_t height, int64_t width, float* out);
 
-/// \brief Inverse of RowsToNchw.
-Tensor NchwToRows(const Tensor& nchw);
-
-/// \brief NchwToRows into a caller-owned [N, M] buffer (fully overwritten).
-/// Images run in parallel.
+/// \brief Inverse of RowsToNchw (without bias), into a caller-owned
+/// [N, M] buffer (fully overwritten). Images run in parallel.
 void NchwToRows(const Tensor& nchw, float* out);
 
 /// \brief out[c] = sum of channel c over all (n, y, x) of a [Nb, C, H, W]
@@ -56,16 +49,15 @@ void NchwChannelSums(const Tensor& nchw, float* out);
 /// \brief grad_input = Col2Im(dy * W^T), the input gradient of a conv
 /// layer (Eq. 3), without building the N x K product. dy is [N, M] rows,
 /// W is [K, M], grad_input is [Nb, Ic, Ih, Iw] and fully overwritten.
-/// Images run in a fixed number of groups, each with one arena tile:
-/// a tile's rows of dy * W^T are computed by Gemm against W^T (transposed
-/// once) and folded straight into the image's slab. Rows are independent
-/// and each image folds its rows in order, so the result is bitwise
-/// GemmTransB followed by Col2Im, at any thread count.
+/// Col2ImTiles folds it; each tile's rows of dy * W^T are computed by Gemm
+/// against W^T (transposed once). Rows are independent, so the result is
+/// bitwise GemmTransB followed by Col2Im, at any thread count.
 void ConvBackwardInput(const ConvGeometry& geo, const float* dy,
                        const float* weight, int64_t out_channels,
                        WorkspaceArena* arena, float* grad_input);
 
-/// \brief Standard convolution layer.
+/// \brief Standard convolution layer. ReuseConv2d derives from it and runs
+/// its passes whenever a pass is dense.
 class Conv2d : public Layer {
  public:
   Conv2d(std::string name, const Conv2dConfig& config, Rng* rng);
@@ -92,6 +84,15 @@ class Conv2d : public Layer {
   /// reserved_bytes()/alloc_slabs() after the first step at fixed shapes.
   const WorkspaceArena& workspace() const { return arena_; }
 
+ protected:
+  /// \brief A training Forward's first step: when `keep`, unfolds `input`
+  /// into the [N, K] matrix Backward reads; otherwise drops that matrix,
+  /// and Backward then fails until the next kept unfold.
+  void KeepUnfoldedInput(const Tensor& input, bool keep);
+  WorkspaceArena* mutable_workspace() { return &arena_; }
+  Tensor& grad_weight() { return grad_weight_; }
+  Tensor& grad_bias() { return grad_bias_; }
+
  private:
   std::string name_;
   Conv2dConfig config_;
@@ -101,8 +102,8 @@ class Conv2d : public Layer {
   Tensor grad_bias_;    ///< [M]
   /// Step-scoped scratch; Reset() at the top of every Forward.
   WorkspaceArena arena_;
-  /// Unfolded input kept for Backward — persistent across steps and only
-  /// filled in training mode; eval streams L2-sized tiles instead.
+  /// Unfolded input kept for Backward (KeepUnfoldedInput) — persistent
+  /// across steps; eval streams L2-sized tiles instead.
   Tensor cached_cols_;
   int64_t cached_batch_ = 0;
 };

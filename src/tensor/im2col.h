@@ -9,9 +9,12 @@
 #ifndef ADR_TENSOR_IM2COL_H_
 #define ADR_TENSOR_IM2COL_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "tensor/tensor.h"
+#include "tensor/workspace_arena.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace adr {
@@ -89,6 +92,49 @@ void Col2Im(const ConvGeometry& geo, const float* grad_cols,
 /// performs the same additions in the same order.
 void Col2ImRows(const ConvGeometry& geo, const float* rows,
                 int64_t row_begin, int64_t row_end, float* grad_input);
+
+/// \brief Col2Im of an unfolded gradient that is produced tile by tile,
+/// so the N x K matrix is never built. `grad_input` is fully overwritten.
+/// Images run in parallel in min(batch, 8) groups of consecutive images.
+/// Each group zeroes its images, then walks its rows in tiles of
+/// `tile_rows` (capped at a group's rows): `fill(row, rows, tile)` writes
+/// rows [row, row + rows) of the gradient into `tile` (rows x K) and
+/// Col2ImRows folds them. A tile may span images; each image still
+/// receives its rows in ascending order, so the result is bitwise Col2Im
+/// of the full matrix at any thread count. The tiles (one per group) bump
+/// from `arena`, or from the heap when it is null. A template, so each
+/// caller's fill inlines into the tile loop.
+template <typename Fill>
+void Col2ImTiles(const ConvGeometry& geo, int64_t tile_rows,
+                 WorkspaceArena* arena, const Fill& fill, float* grad_input) {
+  // Enough groups to keep a few threads busy; at most one per image.
+  constexpr int64_t kMaxGroups = 8;
+  const int64_t k = geo.unfolded_cols();
+  const int64_t rows_per_image = geo.rows_per_image();
+  const int64_t img_size = geo.in_channels * geo.in_height * geo.in_width;
+  const int64_t groups = std::min(geo.batch, kMaxGroups);
+  if (groups == 0) return;  // an empty batch has nothing to fold
+  tile_rows =
+      std::min(tile_rows, (geo.batch + groups - 1) / groups * rows_per_image);
+  ScratchAllocator scratch(arena);
+  float* tiles = scratch.Floats(groups * tile_rows * k);
+  ParallelFor(groups, 1, [&](int64_t g_begin, int64_t g_end) {
+    for (int64_t g = g_begin; g < g_end; ++g) {
+      float* tile = tiles + g * tile_rows * k;
+      const int64_t img_begin = g * geo.batch / groups;
+      const int64_t img_end = (g + 1) * geo.batch / groups;
+      std::fill(grad_input + img_begin * img_size,
+                grad_input + img_end * img_size, 0.0f);
+      const int64_t row_end = img_end * rows_per_image;
+      for (int64_t row = img_begin * rows_per_image; row < row_end;
+           row += tile_rows) {
+        const int64_t rows = std::min(tile_rows, row_end - row);
+        fill(row, rows, tile);
+        Col2ImRows(geo, tile, row, row + rows, grad_input);
+      }
+    }
+  });
+}
 
 /// \brief Rows per tile for the L2-resident tiled pipelines: a tile of
 /// `row_width` floats per row should occupy roughly 192 KiB (leaving the

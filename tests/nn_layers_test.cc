@@ -118,7 +118,8 @@ TEST(Conv2dTest, StridedGradientCheck) {
 // into grad_input) against the unfused GemmTransB + Col2Im it replaces:
 // same bits, on every backend. The shapes are CifarNet's conv1 and conv2
 // at batch 32, a strided one with more images than the fused path's
-// groups, and one whose images span two row tiles.
+// groups, one whose images span two row tiles, and one whose two-image
+// groups have tiles that span images.
 TEST(Conv2dTest, FusedBackwardMatchesGemmTransBThenCol2ImBitwise) {
   struct Case {
     Conv2dConfig config;
@@ -140,7 +141,8 @@ TEST(Conv2dTest, FusedBackwardMatchesGemmTransBThenCol2ImBitwise) {
   const Case cases[] = {make(3, 32, 5, 1, 2, 32, 32),
                         make(32, 32, 5, 1, 2, 16, 32),
                         make(4, 6, 3, 2, 1, 9, 11),
-                        make(32, 8, 5, 1, 2, 20, 3)};
+                        make(32, 8, 5, 1, 2, 20, 3),
+                        make(32, 8, 5, 1, 2, 18, 10)};
   for (const simd::Kernels* backend : testutil::Backends()) {
     simd::ScopedKernelsOverride override_backend(*backend);
     for (const Case& c : cases) {
@@ -158,7 +160,8 @@ TEST(Conv2dTest, FusedBackwardMatchesGemmTransBThenCol2ImBitwise) {
       conv.Forward(in, /*training=*/true);
       const Tensor fused = conv.Backward(grad_out);
 
-      const Tensor dy = NchwToRows(grad_out);
+      Tensor dy(Shape({n, m}));
+      NchwToRows(grad_out, dy.data());
       Tensor dx_cols(Shape({n, k}));
       GemmTransB(dy.data(), conv.weight().data(), dx_cols.data(), n, m, k);
       Tensor expected(fused.shape());
@@ -190,9 +193,10 @@ TEST(Conv2dTest, ForwardMacs) {
 TEST(RowsToNchwTest, RoundTrip) {
   Rng rng(7);
   Tensor nchw = Tensor::RandomGaussian(Shape({2, 3, 4, 5}), &rng);
-  Tensor rows = NchwToRows(nchw);
-  EXPECT_EQ(rows.shape(), Shape({2 * 4 * 5, 3}));
-  Tensor back = RowsToNchw(rows, 2, 3, 4, 5);
+  Tensor rows(Shape({2 * 4 * 5, 3}));
+  NchwToRows(nchw, rows.data());
+  Tensor back(nchw.shape());
+  RowsToNchw(rows.data(), /*bias=*/nullptr, 2, 3, 4, 5, back.data());
   EXPECT_EQ(MaxAbsDiff(back, nchw), 0.0f);
 }
 

@@ -261,10 +261,13 @@ TEST(ParallelDeterminismTest, ConvEpiloguesMatchSerialComposition) {
       RowsToNchw(rows.data(), bias.data(), c.batch, c.channels, c.height,
                  c.width, biased.data());
       ExpectBitIdentical(biased, ref_biased, "RowsToNchw + bias", threads);
-      ExpectBitIdentical(
-          RowsToNchw(rows, c.batch, c.channels, c.height, c.width), ref_plain,
-          "RowsToNchw", threads);
-      ExpectBitIdentical(NchwToRows(grad), ref_rows, "NchwToRows", threads);
+      Tensor plain(ref_plain.shape());
+      RowsToNchw(rows.data(), /*bias=*/nullptr, c.batch, c.channels, c.height,
+                 c.width, plain.data());
+      ExpectBitIdentical(plain, ref_plain, "RowsToNchw", threads);
+      Tensor rows_back(ref_rows.shape());
+      NchwToRows(grad, rows_back.data());
+      ExpectBitIdentical(rows_back, ref_rows, "NchwToRows", threads);
       Tensor db(Shape({c.channels}));
       NchwChannelSums(grad, db.data());
       ExpectBitIdentical(db, ref_db, "NchwChannelSums", threads);

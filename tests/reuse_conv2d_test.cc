@@ -38,8 +38,6 @@ TEST(ReuseConv2dTest, MatchesConv2dWithPreciseClustering) {
   Rng rng1(1), rng2(1);
   Conv2d baseline("conv", SmallConv(), &rng1);
   ReuseConv2d reuse("conv_r", SmallConv(), PreciseReuse(), &rng2);
-  // Same rng seed => same He init, but copy anyway for robustness.
-  reuse.CopyWeightsFrom(baseline);
 
   Rng data_rng(2);
   Tensor in = Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng);
@@ -53,7 +51,6 @@ TEST(ReuseConv2dTest, BackwardMatchesConv2dInSingletonLimit) {
   Rng rng1(3), rng2(3);
   Conv2d baseline("conv", SmallConv(), &rng1);
   ReuseConv2d reuse("conv_r", SmallConv(), PreciseReuse(), &rng2);
-  reuse.CopyWeightsFrom(baseline);
 
   Rng data_rng(4);
   Tensor in = Tensor::RandomGaussian(Shape({1, 2, 6, 6}), &data_rng);
@@ -84,7 +81,6 @@ TEST(ReuseConv2dTest, SingletonClusteringIsExactDifferential) {
   Rng rng1(23), rng2(23);
   Conv2d baseline("conv", SmallConv(), &rng1);
   ReuseConv2d reuse("conv_r", SmallConv(), singleton, &rng2);
-  reuse.CopyWeightsFrom(baseline);
 
   Rng data_rng(24);
   Tensor in = Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng);
@@ -114,7 +110,6 @@ TEST(ReuseConv2dTest, ExactBackwardFlagMatchesConv2dAlways) {
   Rng rng1(5), rng2(5);
   Conv2d baseline("conv", SmallConv(), &rng1);
   ReuseConv2d reuse("conv_r", SmallConv(), coarse, &rng2);
-  reuse.CopyWeightsFrom(baseline);
   reuse.set_exact_backward(true);
   EXPECT_TRUE(reuse.exact_backward());
 
@@ -125,9 +120,8 @@ TEST(ReuseConv2dTest, ExactBackwardFlagMatchesConv2dAlways) {
   Tensor exact_gin = baseline.Backward(grad_out);
   reuse.Forward(in, true);
   Tensor reuse_gin = reuse.Backward(grad_out);
-  // Both layers run the same Im2Col, GemmTransA and ConvBackwardInput,
-  // and sum db in the same order (ColumnSumsInto on the rows,
-  // NchwChannelSums on the planes): the gradients are bitwise equal.
+  // The exact backward is Conv2d::Backward on the same kept Im2Col
+  // matrix: the gradients are bitwise equal.
   EXPECT_EQ(MaxAbsDiff(reuse_gin, exact_gin), 0.0f);
   EXPECT_EQ(MaxAbsDiff(*reuse.Gradients()[0], *baseline.Gradients()[0]),
             0.0f);
@@ -136,18 +130,26 @@ TEST(ReuseConv2dTest, ExactBackwardFlagMatchesConv2dAlways) {
 }
 
 TEST(ReuseConv2dTest, DisabledMatchesConv2dBitwise) {
-  // With reuse off the layer is Conv2d: the same Im2Col/Gemm forward and
-  // the same exact backward, so outputs and gradients are bitwise equal.
+  // With reuse off the layer runs Conv2d's passes: the training forward
+  // (kept Im2Col + Gemm), the eval forward (streamed tiles) and the exact
+  // backward, so outputs and gradients are bitwise equal. Built from the
+  // same seed, its parameters are Conv2d's bit for bit.
   ReuseConfig off;
   off.enabled = false;
   Rng rng1(8), rng2(8);
   Conv2d baseline("conv", SmallConv(), &rng1);
   ReuseConv2d reuse("conv_r", SmallConv(), off, &rng2);
-  reuse.CopyWeightsFrom(baseline);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(MaxAbsDiff(*reuse.Parameters()[i], *baseline.Parameters()[i]),
+              0.0f)
+        << "parameter " << i;
+  }
 
   Rng data_rng(9);
   Tensor in = Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng);
   Tensor grad_out = Tensor::RandomGaussian(Shape({2, 4, 6, 6}), &data_rng);
+  EXPECT_EQ(MaxAbsDiff(reuse.Forward(in, false), baseline.Forward(in, false)),
+            0.0f);
   EXPECT_EQ(MaxAbsDiff(reuse.Forward(in, true), baseline.Forward(in, true)),
             0.0f);
   EXPECT_EQ(MaxAbsDiff(reuse.Backward(grad_out), baseline.Backward(grad_out)),

@@ -6,7 +6,6 @@
 #include "core/adaptive_controller.h"
 #include "core/reuse_conv2d.h"
 #include "nn/conv2d.h"
-#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace adr {
@@ -22,40 +21,6 @@ Conv2dConfig SmallConv() {
   config.in_height = 6;
   config.in_width = 6;
   return config;
-}
-
-TEST(ReuseDisabledTest, ForwardMatchesConv2dExactly) {
-  Rng rng1(1), rng2(1);
-  Conv2d dense("conv", SmallConv(), &rng1);
-  ReuseConfig off;
-  off.enabled = false;
-  ReuseConv2d reuse("conv_r", SmallConv(), off, &rng2);
-  reuse.CopyWeightsFrom(dense);
-
-  Rng data_rng(2);
-  Tensor in = Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng);
-  EXPECT_EQ(MaxAbsDiff(reuse.Forward(in, true), dense.Forward(in, true)),
-            0.0f);
-}
-
-TEST(ReuseDisabledTest, BackwardMatchesConv2dExactly) {
-  Rng rng1(3), rng2(3);
-  Conv2d dense("conv", SmallConv(), &rng1);
-  ReuseConfig off;
-  off.enabled = false;
-  ReuseConv2d reuse("conv_r", SmallConv(), off, &rng2);
-  reuse.CopyWeightsFrom(dense);
-
-  Rng data_rng(4);
-  Tensor in = Tensor::RandomGaussian(Shape({2, 2, 6, 6}), &data_rng);
-  Tensor grad_out = Tensor::RandomGaussian(Shape({2, 4, 6, 6}), &data_rng);
-  dense.Forward(in, true);
-  reuse.Forward(in, true);
-  Tensor dense_gin = dense.Backward(grad_out);
-  Tensor reuse_gin = reuse.Backward(grad_out);
-  EXPECT_LT(MaxAbsDiff(reuse_gin, dense_gin), 1e-6f);
-  EXPECT_LT(MaxAbsDiff(*reuse.Gradients()[0], *dense.Gradients()[0]),
-            1e-6f);
 }
 
 TEST(ReuseDisabledTest, MacsCountedAsBaseline) {
