@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the substrate kernels the reuse
-// savings are measured against: GEMM, im2col, LSH hashing, the full
-// clustered matmul vs its dense equivalent, and the activation-sized
-// passes around the conv GEMMs (ReLU, max-pool, the conv epilogue).
+// savings are measured against: GEMM, im2col and col2im, LSH hashing,
+// the full clustered matmul vs its dense equivalent, and the
+// activation-sized passes around the conv GEMMs (ReLU, max-pool, the
+// conv epilogue).
 //
 // Every benchmark takes the worker thread count as its first argument
 // (the "threads" column), so scaling of the parallel runtime is read
@@ -113,31 +114,71 @@ void GemmTransBArgs(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_GemmTransB)->Apply(GemmTransBArgs);
 
+// The unfold and fold geometry of a BM_Im2Col / BM_Col2Im row:
+// (threads, batch, channels, size, kernel, stride, pad), square images
+// and kernels.
+ConvGeometry UnfoldGeometry(const benchmark::State& state) {
+  ConvGeometry geo;
+  geo.batch = state.range(1);
+  geo.in_channels = state.range(2);
+  geo.in_height = geo.in_width = state.range(3);
+  geo.kernel_h = geo.kernel_w = state.range(4);
+  geo.stride = state.range(5);
+  geo.pad = state.range(6);
+  return geo;
+}
+void UnfoldArgs(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames(
+      {"threads", "batch", "channels", "size", "kernel", "stride", "pad"});
+  // The step benchmark's convs: CifarNet conv1 and conv2 (width 0.5,
+  // batch 32), and AlexNet conv1 (67 x 67 input, batch 16).
+  for (const auto shape : {std::array<int64_t, 6>{32, 3, 32, 5, 1, 2},
+                           std::array<int64_t, 6>{32, 32, 16, 5, 1, 2},
+                           std::array<int64_t, 6>{16, 3, 67, 11, 4, 0}}) {
+    for (const int64_t threads : kThreadCounts) {
+      bench->Args({threads, shape[0], shape[1], shape[2], shape[3], shape[4],
+                   shape[5]});
+    }
+  }
+}
+
 void BM_Im2Col(benchmark::State& state) {
   SetupThreads(state);
-  ConvGeometry geo;
-  geo.batch = 8;
-  geo.in_channels = 16;
-  geo.in_height = 32;
-  geo.in_width = 32;
-  geo.kernel_h = 5;
-  geo.kernel_w = 5;
-  geo.stride = 1;
-  geo.pad = 2;
+  const ConvGeometry geo = UnfoldGeometry(state);
   Rng rng(3);
-  Tensor input = Tensor::RandomGaussian(Shape({8, 16, 32, 32}), &rng);
+  Tensor input = Tensor::RandomGaussian(
+      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}), &rng);
   Tensor cols(Shape({geo.unfolded_rows(), geo.unfolded_cols()}));
   for (auto _ : state) {
     Im2Col(geo, input, &cols);
     benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * cols.num_elements());
 }
+BENCHMARK(BM_Im2Col)->Apply(UnfoldArgs);
+
+void BM_Col2Im(benchmark::State& state) {
+  SetupThreads(state);
+  const ConvGeometry geo = UnfoldGeometry(state);
+  Rng rng(3);
+  Tensor cols = Tensor::RandomGaussian(
+      Shape({geo.unfolded_rows(), geo.unfolded_cols()}), &rng);
+  Tensor grad_input(
+      Shape({geo.batch, geo.in_channels, geo.in_height, geo.in_width}));
+  for (auto _ : state) {
+    Col2Im(geo, cols, &grad_input);
+    benchmark::DoNotOptimize(grad_input.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * cols.num_elements());
+}
+BENCHMARK(BM_Col2Im)->Apply(UnfoldArgs);
+
 void ThreadsOnlyArgs(benchmark::internal::Benchmark* bench) {
   bench->ArgNames({"threads"});
   for (const int64_t threads : kThreadCounts) bench->Args({threads});
 }
-BENCHMARK(BM_Im2Col)->Apply(ThreadsOnlyArgs);
 
 void BM_LshHash(benchmark::State& state) {
   SetupThreads(state);

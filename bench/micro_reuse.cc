@@ -132,8 +132,10 @@ BENCHMARK(BM_ReuseBackward)->Apply([](benchmark::internal::Benchmark* b) {
 // a 5 x 5 box blur (N = 8192, K = 800, M = 64). H = 0 runs the dense
 // Conv2d; otherwise ReuseConv2d at (L, H). BM_ConvForward times one
 // training Forward; BM_ConvBackward times one Backward after an untimed
-// training Forward. The reuse/dense ratio of two rows at equal threads is
-// the pass's measured speed-up.
+// training Forward. The layer stands alone, not first in a Network, so
+// its Backward computes the input gradient as well as dW and db. The
+// reuse/dense ratio of two rows at equal threads is the pass's measured
+// speed-up.
 const Tensor& BlurredConvInput() {
   static const Tensor* input = [] {
     constexpr int64_t kBatch = 32, kChannels = 32, kSize = 16, kRadius = 2;

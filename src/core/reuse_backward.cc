@@ -113,41 +113,47 @@ void ReuseBackwardInto(const ReuseClustering& clustering,
     macs += static_cast<double>(num_clusters) * block.length * m;
   }
 
-  // dy_{c,sa}: average instead of sum (divide each row by N_l).
-  ParallelFor(total, GrainForCost(m), [&](int64_t begin, int64_t end) {
-    size_t b = block_of(begin);
-    for (int64_t t = begin; t < end; ++t) {
-      while (t >= first[b + 1]) ++b;
-      const int64_t size = clustering.blocks[b].clustering.cluster_sizes
-                               [static_cast<size_t>(t - first[b])];
-      kernels.scale(1.0f / static_cast<float>(size), sums + t * m, m);
+  // The input delta (Eqs. 13-20) only when the caller wants it: the dW
+  // and db above are the same bits either way.
+  if (grad_input != nullptr) {
+    // dy_{c,sa}: average instead of sum (divide each row by N_l).
+    ParallelFor(total, GrainForCost(m), [&](int64_t begin, int64_t end) {
+      size_t b = block_of(begin);
+      for (int64_t t = begin; t < end; ++t) {
+        while (t >= first[b + 1]) ++b;
+        const int64_t size = clustering.blocks[b].clustering.cluster_sizes
+                                 [static_cast<size_t>(t - first[b])];
+        kernels.scale(1.0f / static_cast<float>(size), sums + t * m, m);
+      }
+    });
+
+    // dx_c = dy_{c,sa} * W_I^T (Eq. 18), kept for every block: block b's
+    // |C_b| x L_b rows start at first[b] * dx_stride.
+    float* dx_c = scratch.Floats(total * dx_stride);
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const SubMatrixClustering& block = clustering.blocks[b];
+      const int64_t num_clusters = first[b + 1] - first[b];
+      GemmTransB(sums + first[b] * m, weight.data() + block.col_offset * m,
+                 dx_c + first[b] * dx_stride, num_clusters, m, block.length);
+      macs += static_cast<double>(num_clusters) * block.length * m;
     }
-  });
 
-  // dx_c = dy_{c,sa} * W_I^T (Eq. 18), kept for every block: block b's
-  // |C_b| x L_b rows start at first[b] * dx_stride.
-  float* dx_c = scratch.Floats(total * dx_stride);
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const SubMatrixClustering& block = clustering.blocks[b];
-    const int64_t num_clusters = first[b + 1] - first[b];
-    GemmTransB(sums + first[b] * m, weight.data() + block.col_offset * m,
-               dx_c + first[b] * dx_stride, num_clusters, m, block.length);
-    macs += static_cast<double>(num_clusters) * block.length * m;
+    // Fold (Eq. 13 then col2im): each L2-sized tile is filled with member
+    // rows of dx_c and accumulated into grad_input.
+    Col2ImTiles(geo, L2TileRows(k), arena,
+                [&](int64_t row, int64_t rows, float* tile) {
+                  FillDeltaRows(clustering, dx_c, first, dx_stride, row, rows,
+                                tile);
+                },
+                grad_input);
   }
-
-  // Fold (Eq. 13 then col2im): each L2-sized tile is filled with member
-  // rows of dx_c and accumulated into grad_input.
-  Col2ImTiles(geo, L2TileRows(k), arena,
-              [&](int64_t row, int64_t rows, float* tile) {
-                FillDeltaRows(clustering, dx_c, first, dx_stride, row, rows,
-                              tile);
-              },
-              grad_input);
 
   *stats = ReuseLayerStats{};
   stats->backward_seconds = timer.ElapsedSeconds();
   stats->macs_executed = macs;
-  stats->macs_baseline = 2.0 * static_cast<double>(n) * k * m;
+  // dW (Eq. 2), plus dX (Eq. 3) when it was computed.
+  stats->macs_baseline = (grad_input != nullptr ? 2.0 : 1.0) *
+                         static_cast<double>(n) * k * m;
 }
 
 }  // namespace adr

@@ -42,8 +42,11 @@ namespace adr {
 /// The fold is Col2ImTiles, as in ConvBackwardInput: each row tile is
 /// filled with dx_c[cluster(row, I)] for every block I. No N x K matrix
 /// is built, and grad_input is bitwise what scattering dx_c to an
-/// N x K matrix and calling Col2Im would give. `stats` is overwritten with
-/// this call's record.
+/// N x K matrix and calling Col2Im would give. A null `grad_input` (a
+/// first layer's) skips the averaging, the dx_c GEMMs and the fold;
+/// grad_weight and grad_bias are the same bits either way, and the MACs
+/// then count dW only, in the executed and the baseline figures alike.
+/// `stats` is overwritten with this call's record.
 void ReuseBackwardInto(const ReuseClustering& clustering,
                        const Tensor& weight, const float* dy,
                        const ConvGeometry& geo, WorkspaceArena* arena,

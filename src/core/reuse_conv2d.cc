@@ -218,11 +218,12 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
   ReuseLayerStats call;
   Tensor grad_input;
   if (exact_backward_ || !reuse_.enabled) {
-    // Ablation path: Conv2d's exact gradients from its unfolded input.
+    // Ablation path: Conv2d's exact gradients from its unfolded input:
+    // dW, and dX when the layer has one to return.
     Timer timer;
     grad_input = Conv2d::Backward(grad_output);
     call.backward_seconds = timer.ElapsedSeconds();
-    call.macs_executed = 2.0 * ForwardMacs(batch);
+    call.macs_executed = (needs_input_grad() ? 2.0 : 1.0) * ForwardMacs(batch);
     call.macs_baseline = call.macs_executed;
   } else {
     const ConvGeometry geo = Geometry(batch);
@@ -235,11 +236,14 @@ Tensor ReuseConv2d::Backward(const Tensor& grad_output) {
     WorkspaceArena* arena = mutable_workspace();
     float* dy = arena->AllocFloats(n * m);
     NchwToRows(grad_output, dy);
-    grad_input = Tensor(Shape({batch, config().in_channels,
-                               config().in_height, config().in_width}));
+    float* dx = nullptr;
+    if (needs_input_grad()) {
+      grad_input = Tensor(Shape({batch, config().in_channels,
+                                 config().in_height, config().in_width}));
+      dx = grad_input.data();
+    }
     ReuseBackwardInto(cached_clustering_, weight(), dy, geo, arena,
-                      grad_weight().data(), grad_bias().data(),
-                      grad_input.data(), &call);
+                      grad_weight().data(), grad_bias().data(), dx, &call);
   }
   stats_.Add(call);
   Publish(call);

@@ -129,13 +129,18 @@ Result<TrainingRunResult> RunTrainingStrategy(
 
   // Conv-layer MAC accounting.
   if (kind == StrategyKind::kBaseline) {
-    double per_forward = 0.0;
+    // A training step runs the forward, dW, and dX where the layer
+    // computes it (not for the first layer); an eval batch the forward.
+    double per_step = 0.0;
+    double per_eval = 0.0;
     for (Conv2d* conv : model.conv_layers) {
-      per_forward += conv->ForwardMacs(options.batch_size);
+      const double forward = conv->ForwardMacs(options.batch_size);
+      per_step += (conv->needs_input_grad() ? 3.0 : 2.0) * forward;
+      per_eval += forward;
     }
     result.conv_macs_executed =
-        per_forward * (3.0 * static_cast<double>(result.steps_run) +
-                       static_cast<double>(num_eval_batches));
+        per_step * static_cast<double>(result.steps_run) +
+        per_eval * static_cast<double>(num_eval_batches);
     result.conv_macs_baseline = result.conv_macs_executed;
   } else {
     for (ReuseConv2d* layer : model.reuse_layers) {

@@ -202,6 +202,7 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   GemmTransA(cached_cols_.data(), dy, grad_weight_.data(), k, n, m);
   NchwChannelSums(grad_output, grad_bias_.data());
 
+  if (!needs_input_grad()) return Tensor();
   // dx = col2im(dy * W^T)  (Eq. 3), folded tile by tile.
   Tensor grad_input(Shape(
       {cached_batch_, config_.in_channels, config_.in_height, config_.in_width}));

@@ -31,9 +31,19 @@ class Layer {
   /// behaviour (batch statistics, reuse clustering kept for Backward, ...).
   virtual Tensor Forward(const Tensor& input, bool training) = 0;
 
-  /// \brief Computes the gradient w.r.t. the layer input given the gradient
-  /// w.r.t. the output, and fills parameter gradients.
+  /// \brief Fills parameter gradients from the gradient w.r.t. the output,
+  /// and returns the gradient w.r.t. the layer input. When
+  /// needs_input_grad() is false, a layer whose input gradient is a pass
+  /// of its own (Conv2d and ReuseConv2d: the dX GEMM and the fold) skips
+  /// it and returns an empty Tensor (`Tensor()`, rank 0); parameter
+  /// gradients are the same bits either way.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
+
+  /// \brief Whether Backward must return the input gradient. On for a
+  /// new layer; Network::Add turns it off for a network's first layer,
+  /// whose input gradient feeds nothing.
+  bool needs_input_grad() const { return needs_input_grad_; }
+  void set_needs_input_grad(bool needs) { needs_input_grad_ = needs; }
 
   /// \brief Learnable parameters (empty for stateless layers).
   virtual std::vector<Tensor*> Parameters() { return {}; }
@@ -59,6 +69,9 @@ class Layer {
   /// \brief Clears the telemetry returned by GetReuseStats (no-op for
   /// layers without reuse).
   virtual void ResetReuseStats() {}
+
+ private:
+  bool needs_input_grad_ = true;
 };
 
 }  // namespace adr

@@ -20,10 +20,13 @@ class Network {
   Network() = default;
 
   /// \brief Appends a layer and returns a raw pointer for configuration
-  /// (the network keeps ownership).
+  /// (the network keeps ownership). The first layer added gets
+  /// set_needs_input_grad(false): nothing reads the gradient w.r.t. the
+  /// network input during training.
   template <typename LayerT>
   LayerT* Add(std::unique_ptr<LayerT> layer) {
     LayerT* raw = layer.get();
+    if (layers_.empty()) raw->set_needs_input_grad(false);
     layers_.push_back(std::move(layer));
     return raw;
   }
@@ -31,8 +34,12 @@ class Network {
   /// \brief Runs all layers forward.
   Tensor Forward(const Tensor& input, bool training);
 
-  /// \brief Runs all layers backward from the loss gradient; returns the
-  /// gradient w.r.t. the network input.
+  /// \brief Runs all layers backward from the loss gradient, filling every
+  /// parameter gradient, and returns the first layer's Backward result.
+  /// That is the gradient w.r.t. the network input only while the first
+  /// layer's needs_input_grad() is on; Add turns it off, so a network
+  /// that starts with a conv returns an empty Tensor unless the caller
+  /// calls layer(0)->set_needs_input_grad(true).
   Tensor Backward(const Tensor& grad_output);
 
   /// \brief All learnable parameters, layer order.

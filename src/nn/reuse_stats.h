@@ -24,7 +24,8 @@ struct ReuseLayerStats {
   double backward_seconds = 0.0;
   double macs_executed = 0.0;  ///< hash, GEMM and scatter MACs actually done
   /// MACs the dense layer would execute: N*K*M per forward, 2*N*K*M per
-  /// backward.
+  /// backward (N*K*M, dW alone, when the layer returns no input
+  /// gradient; see Layer::needs_input_grad).
   double macs_baseline = 0.0;
   int64_t clusters_total = 0;   ///< clusters over all column blocks
   int64_t clusters_reused = 0;  ///< of those, served from the CR cache

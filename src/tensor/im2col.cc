@@ -35,35 +35,111 @@ Status ConvGeometry::Validate() const {
 
 namespace {
 
-// Im2ColRows copies a run of at least this many valid taps with memcpy;
-// shorter runs (conv kernel rows) copy faster inline.
+// Kernel rows are short runs (kw taps: 11, 5 or 3 in the models here).
+// Runs of at least kVec floats move kVec at a time, in fixed-size
+// memcpys the compiler turns into single 16-byte loads and stores.
+constexpr int64_t kVec = 4;
+// A run this wide (a MatrixGeometry row is one K-float run) copies
+// faster with library memcpy.
 constexpr int64_t kMemcpyTaps = 32;
 
+// Copies `rows` runs of `len` floats from src to dst, the runs
+// `src_stride` and `dst_stride` floats apart. The last 16-byte move of a
+// run may overlap the one before it, writing a few floats twice with the
+// same values.
+inline void CopyRuns(const float* src, int64_t src_stride, float* dst,
+                     int64_t dst_stride, int64_t rows, int64_t len) {
+  if (len >= kVec && len < kMemcpyTaps) {
+    const int64_t last = len - kVec;
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* from = src + r * src_stride;
+      float* to = dst + r * dst_stride;
+      for (int64_t i = 0; i < last; i += kVec) {
+        std::memcpy(to + i, from + i, sizeof(float) * kVec);
+      }
+      std::memcpy(to + last, from + last, sizeof(float) * kVec);
+    }
+    return;
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* from = src + r * src_stride;
+    float* to = dst + r * dst_stride;
+    if (len >= kMemcpyTaps) {
+      std::memcpy(to, from, sizeof(float) * static_cast<size_t>(len));
+    } else {
+      for (int64_t i = 0; i < len; ++i) to[i] = from[i];
+    }
+  }
+}
+
+// Adds `rows` runs of `len` floats at src to dst, strided as in
+// CopyRuns: kVec floats at a time, then the tail one by one. Each dst
+// float gets exactly one add per run, so the bits are the scalar loop's.
+inline void AddRuns(const float* src, int64_t src_stride, float* dst,
+                    int64_t dst_stride, int64_t rows, int64_t len) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* from = src + r * src_stride;
+    float* to = dst + r * dst_stride;
+    int64_t i = 0;
+    for (; i + kVec <= len; i += kVec) {
+      float sum[kVec], taps[kVec];
+      std::memcpy(sum, to + i, sizeof sum);
+      std::memcpy(taps, from + i, sizeof taps);
+      for (int64_t j = 0; j < kVec; ++j) sum[j] += taps[j];
+      std::memcpy(to + i, sum, sizeof sum);
+    }
+    for (; i < len; ++i) to[i] += from[i];
+  }
+}
+
+// One row of the unfolded matrix: output pixel (oy, ox) of image n. Its
+// taps inside the input are (ky, kx) in [ky_lo, ky_hi) x [kx_lo, kx_hi),
+// the same for every channel.
+struct UnfoldedRow {
+  int64_t n;
+  int64_t y0, x0;  // input coordinates of tap (0, 0)
+  int64_t ky_lo, ky_hi;
+  int64_t kx_lo, kx_hi;
+
+  int64_t rows() const { return ky_hi - ky_lo; }
+  int64_t run() const { return kx_hi - kx_lo; }
+  // Offset of tap (ky_lo, kx_lo) in its channel plane; valid only when
+  // rows() and run() are nonzero.
+  int64_t first_tap(int64_t in_width) const {
+    return (y0 + ky_lo) * in_width + x0 + kx_lo;
+  }
+};
+
 // Row decoding shared by Im2ColRows and Col2ImRows: walks rows
-// [row_begin, row_end) as (n, oy, ox) and hands each to `fn` together
-// with the row's valid kx range [kx_lo, kx_hi) (the taps inside the
-// input's width; the same for every channel and kernel row).
+// [row_begin, row_end) and hands each to `fn`.
 template <typename Fn>
 void ForEachUnfoldedRow(const ConvGeometry& geo, int64_t row_begin,
                         int64_t row_end, Fn&& fn) {
   const int64_t oh = geo.out_height();
   const int64_t ow = geo.out_width();
   const int64_t rows_per_image = oh * ow;
-  int64_t n = row_begin / rows_per_image;
+  // Taps [lo, hi) of a kernel starting at `origin` that lie in [0, extent).
+  const auto clip = [](int64_t origin, int64_t extent, int64_t taps,
+                       int64_t* lo, int64_t* hi) {
+    *lo = std::clamp<int64_t>(-origin, 0, taps);
+    *hi = std::clamp<int64_t>(extent - origin, *lo, taps);
+  };
+  UnfoldedRow r;
+  r.n = row_begin / rows_per_image;
   const int64_t rem = row_begin % rows_per_image;
   int64_t oy = rem / ow;
   int64_t ox = rem % ow;
   for (int64_t row = row_begin; row < row_end; ++row) {
-    const int64_t x0 = ox * geo.stride - geo.pad;
-    const int64_t kx_lo = std::clamp<int64_t>(-x0, 0, geo.kernel_w);
-    const int64_t kx_hi =
-        std::clamp<int64_t>(geo.in_width - x0, kx_lo, geo.kernel_w);
-    fn(n, oy * geo.stride - geo.pad, x0, kx_lo, kx_hi);
+    r.y0 = oy * geo.stride - geo.pad;
+    r.x0 = ox * geo.stride - geo.pad;
+    clip(r.y0, geo.in_height, geo.kernel_h, &r.ky_lo, &r.ky_hi);
+    clip(r.x0, geo.in_width, geo.kernel_w, &r.kx_lo, &r.kx_hi);
+    fn(r);
     if (++ox == ow) {
       ox = 0;
       if (++oy == oh) {
         oy = 0;
-        ++n;
+        ++r.n;
       }
     }
   }
@@ -73,36 +149,26 @@ void ForEachUnfoldedRow(const ConvGeometry& geo, int64_t row_begin,
 
 void Im2ColRows(const ConvGeometry& geo, const float* input,
                 int64_t row_begin, int64_t row_end, float* out) {
-  const int64_t ih = geo.in_height, iw = geo.in_width;
+  const int64_t iw = geo.in_width;
   const int64_t kw = geo.kernel_w;
-  const int64_t chan_stride = ih * iw;
+  const int64_t taps = geo.kernel_h * kw;  // per channel
+  const int64_t chan_stride = geo.in_height * iw;
   const int64_t img_stride = geo.in_channels * chan_stride;
   float* dst = out;
-  ForEachUnfoldedRow(geo, row_begin, row_end,
-                     [&](int64_t n, int64_t y0, int64_t x0, int64_t kx_lo,
-                         int64_t kx_hi) {
+  ForEachUnfoldedRow(geo, row_begin, row_end, [&](const UnfoldedRow& r) {
     // One output row: all (c, ky, kx) taps of this receptive field, zero
-    // outside the input.
-    const float* img = input + n * img_stride;
-    for (int64_t c = 0; c < geo.in_channels; ++c) {
-      const float* chan = img + c * chan_stride;
-      for (int64_t ky = 0; ky < geo.kernel_h; ++ky, dst += kw) {
-        const int64_t y = y0 + ky;
-        if (y < 0 || y >= ih) {
-          for (int64_t kx = 0; kx < kw; ++kx) dst[kx] = 0.0f;
-          continue;
-        }
-        const int64_t base = y * iw + x0;
-        int64_t kx = 0;
-        for (; kx < kx_lo; ++kx) dst[kx] = 0.0f;
-        if (kx_hi - kx_lo >= kMemcpyTaps) {
-          // A wide run (a MatrixGeometry row is one K-float run).
-          std::memcpy(dst + kx_lo, chan + (base + kx_lo),
-                      sizeof(float) * static_cast<size_t>(kx_hi - kx_lo));
-          kx = kx_hi;
-        }
-        for (; kx < kx_hi; ++kx) dst[kx] = chan[base + kx];
-        for (; kx < kw; ++kx) dst[kx] = 0.0f;
+    // outside the input. A row the padding clips zeroes each channel's
+    // taps, then copies the ones inside.
+    const bool clipped = r.rows() < geo.kernel_h || r.run() < kw;
+    const bool inside = r.rows() > 0 && r.run() > 0;
+    const float* img = input + r.n * img_stride;
+    for (int64_t c = 0; c < geo.in_channels; ++c, dst += taps) {
+      if (clipped) {
+        std::memset(dst, 0, sizeof(float) * static_cast<size_t>(taps));
+      }
+      if (inside) {
+        CopyRuns(img + (c * chan_stride + r.first_tap(iw)), iw,
+                 dst + (r.ky_lo * kw + r.kx_lo), kw, r.rows(), r.run());
       }
     }
   });
@@ -158,24 +224,21 @@ void Col2Im(const ConvGeometry& geo, const Tensor& grad_cols,
 
 void Col2ImRows(const ConvGeometry& geo, const float* rows,
                 int64_t row_begin, int64_t row_end, float* grad_input) {
-  const int64_t ih = geo.in_height, iw = geo.in_width;
+  const int64_t iw = geo.in_width;
   const int64_t kw = geo.kernel_w;
-  const int64_t chan_stride = ih * iw;
+  const int64_t taps = geo.kernel_h * kw;  // per channel
+  const int64_t chan_stride = geo.in_height * iw;
   const int64_t img_stride = geo.in_channels * chan_stride;
   const float* src = rows;
-  ForEachUnfoldedRow(geo, row_begin, row_end,
-                     [&](int64_t n, int64_t y0, int64_t x0, int64_t kx_lo,
-                         int64_t kx_hi) {
-    float* img = grad_input + n * img_stride;
+  ForEachUnfoldedRow(geo, row_begin, row_end, [&](const UnfoldedRow& r) {
+    const float* row = src;
+    src += geo.in_channels * taps;
+    if (r.rows() == 0 || r.run() == 0) return;  // all taps in the padding
+    float* img = grad_input + r.n * img_stride;
     for (int64_t c = 0; c < geo.in_channels; ++c) {
-      float* chan = img + c * chan_stride;
-      for (int64_t ky = 0; ky < geo.kernel_h; ++ky, src += kw) {
-        const int64_t y = y0 + ky;
-        if (y < 0 || y >= ih) continue;
-        float* dst = chan + (y * iw + x0 + kx_lo);
-        const float* taps = src + kx_lo;
-        for (int64_t kx = 0; kx < kx_hi - kx_lo; ++kx) dst[kx] += taps[kx];
-      }
+      AddRuns(row + (c * taps + r.ky_lo * kw + r.kx_lo), kw,
+              img + (c * chan_stride + r.first_tap(iw)), iw, r.rows(),
+              r.run());
     }
   });
 }

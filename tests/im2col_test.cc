@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -169,8 +170,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 12, 4, 4, 0)));
 
 // Per-tap references: every (row, c, ky, kx) tap tests its own bounds.
-// Im2Col/Col2Im compute each row's valid kx range once; they must give
-// the same bits, and Col2Im must add in the same order.
+// Im2Col/Col2Im compute each row's valid ky and kx ranges once and move
+// kernel rows in 16-byte steps; they must give the same bits, and
+// Col2Im must add in the same order.
 void ReferenceIm2Col(const ConvGeometry& geo, const float* input,
                      float* out) {
   const int64_t ih = geo.in_height, iw = geo.in_width;
@@ -217,6 +219,36 @@ void ReferenceCol2Im(const ConvGeometry& geo, const float* cols,
   }
 }
 
+void ExpectSameBits(const Tensor& actual, const Tensor& expected,
+                    const char* what) {
+  ASSERT_EQ(actual.shape(), expected.shape()) << what;
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        sizeof(float) * static_cast<size_t>(
+                                            actual.num_elements())),
+            0)
+      << what;
+}
+
+// Which ways the geometry's unfolded rows are clipped by the padding:
+// bit 0 for a row clipped in kx only, bit 1 in ky only, bit 2 in both.
+int ClippedRowKinds(const ConvGeometry& geo) {
+  const auto clipped = [&](int64_t o, int64_t extent, int64_t taps) {
+    const int64_t origin = o * geo.stride - geo.pad;
+    return origin < 0 || origin + taps > extent;
+  };
+  int kinds = 0;
+  for (int64_t oy = 0; oy < geo.out_height(); ++oy) {
+    for (int64_t ox = 0; ox < geo.out_width(); ++ox) {
+      const bool y = clipped(oy, geo.in_height, geo.kernel_h);
+      const bool x = clipped(ox, geo.in_width, geo.kernel_w);
+      if (x && !y) kinds |= 1;
+      if (y && !x) kinds |= 2;
+      if (x && y) kinds |= 4;
+    }
+  }
+  return kinds;
+}
+
 class Im2ColReferenceSweep
     : public ::testing::TestWithParam<
           std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t>> {};
@@ -226,28 +258,45 @@ TEST_P(Im2ColReferenceSweep, MatchesPerTapReferenceBitwise) {
   const ConvGeometry geo = MakeGeometry(3, channels, size, kernel, stride,
                                         pad);
   ASSERT_TRUE(geo.Validate().ok());
+  // Every padded case has rows clipped in kx only, in ky only and in
+  // both; the unpadded ones have none.
+  EXPECT_EQ(ClippedRowKinds(geo), pad > 0 ? 7 : 0);
   Rng rng(5);
   Tensor x = Tensor::RandomGaussian(Shape({3, channels, size, size}), &rng);
   Tensor g = Tensor::RandomGaussian(
       Shape({geo.unfolded_rows(), geo.unfolded_cols()}), &rng);
 
-  Tensor cols(g.shape());
+  Tensor cols = Tensor::Full(g.shape(), 7.0f);  // padded taps overwritten
   Im2Col(geo, x, &cols);
   Tensor expected_cols(g.shape());
   ReferenceIm2Col(geo, x.data(), expected_cols.data());
-  EXPECT_EQ(std::memcmp(cols.data(), expected_cols.data(),
-                        sizeof(float) * static_cast<size_t>(
-                                            cols.num_elements())),
-            0);
+  ExpectSameBits(cols, expected_cols, "im2col");
 
-  Tensor folded(x.shape());
+  Tensor folded = Tensor::Full(x.shape(), 7.0f);  // Col2Im overwrites it
   Col2Im(geo, g, &folded);
   Tensor expected_folded(x.shape());
   ReferenceCol2Im(geo, g.data(), expected_folded.data());
-  EXPECT_EQ(std::memcmp(folded.data(), expected_folded.data(),
-                        sizeof(float) * static_cast<size_t>(
-                                            folded.num_elements())),
-            0);
+  ExpectSameBits(folded, expected_folded, "col2im");
+
+  // -0.0 everywhere but a sparse +inf and NaN: the unfold copies their
+  // bits, and the fold starts each pixel from +0.0 and adds each tap
+  // once, so a pixel reached by -0.0 alone is +0.0. One NaN bit pattern
+  // and no -inf, so no sum depends on which operand's NaN propagates.
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (Tensor* t : {&x, &g}) {
+    std::fill_n(t->data(), t->num_elements(), -0.0f);
+    for (int64_t i = 0; i < t->num_elements(); i += 41) {
+      t->data()[i] = specials[(i / 41) % 2];
+    }
+  }
+  std::fill_n(cols.data(), cols.num_elements(), 7.0f);
+  Im2Col(geo, x, &cols);
+  ReferenceIm2Col(geo, x.data(), expected_cols.data());
+  ExpectSameBits(cols, expected_cols, "im2col of -0.0, inf and NaN");
+  Col2Im(geo, g, &folded);
+  ReferenceCol2Im(geo, g.data(), expected_folded.data());
+  ExpectSameBits(folded, expected_folded, "col2im of -0.0, inf and NaN");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -262,7 +311,17 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(2, 15, 11, 4, 2),
                       // Valid runs of 31 and 34 taps, either side of the
                       // width at which Im2ColRows switches to memcpy.
-                      std::make_tuple(1, 34, 34, 3, 3)));
+                      std::make_tuple(1, 34, 34, 3, 3),
+                      // Kernel rows on both sides of a 4-float move and
+                      // of its overlapping last move: widths 1 to 9.
+                      std::make_tuple(2, 6, 1, 1, 1),
+                      std::make_tuple(2, 7, 2, 1, 1),
+                      std::make_tuple(2, 9, 3, 2, 1),
+                      std::make_tuple(2, 10, 4, 2, 1),
+                      std::make_tuple(2, 13, 7, 2, 3),
+                      std::make_tuple(1, 12, 8, 1, 3),
+                      std::make_tuple(2, 17, 9, 4, 2),
+                      std::make_tuple(1, 16, 9, 1, 0)));
 
 TEST(Col2ImTest, OverlappingPatchesAccumulate) {
   // 3x3 input, 2x2 kernel, stride 1: center pixel (1,1) appears in all

@@ -1,9 +1,14 @@
 // Tests for the model builders: geometry against the paper's Table II,
-// forward shapes, validation and weight copying.
+// forward shapes, validation, weight copying, and the first layer's
+// skipped input gradient.
+
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "models/models.h"
+#include "nn/loss.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -238,6 +243,83 @@ TEST(ModelTest, NetworkMacsPositive) {
   EXPECT_GT(model->network.ForwardMacs(8), 0.0);
   EXPECT_GT(model->network.NumParameters(), 0);
 }
+
+// A Network-built model skips its first conv's input gradient. Its
+// parameter gradients must be the bits of a twin that computes it, on
+// the dense path, the reuse path, and the reuse path with the cluster
+// cache, whose second step (on the same images) hits the entries of the
+// first.
+enum class ConvPath { kDense, kReuse, kReuseCache };
+
+class FirstLayerInputGradTest : public ::testing::TestWithParam<ConvPath> {};
+
+TEST_P(FirstLayerInputGradTest, SkippedWithBitwiseEqualParameterGradients) {
+  ModelOptions options = TinyOptions();
+  options.use_reuse = GetParam() != ConvPath::kDense;
+  options.reuse.sub_vector_length = 25;
+  options.reuse.num_hashes = 8;
+  options.reuse.cluster_reuse = GetParam() == ConvPath::kReuseCache;
+  auto skip = BuildCifarNet(options);
+  auto full = BuildCifarNet(options);
+  ASSERT_TRUE(skip.ok());
+  ASSERT_TRUE(full.ok());
+  Layer* conv1 = skip->network.layer(0);
+  EXPECT_FALSE(conv1->needs_input_grad());
+  EXPECT_TRUE(skip->network.layer(1)->needs_input_grad());
+  full->network.layer(0)->set_needs_input_grad(true);
+
+  Rng rng(9);
+  const std::vector<int> labels = {0, 1, 2, 3};
+  const auto step = [&](Network* net, const Tensor& images) {
+    const LossResult loss =
+        SoftmaxCrossEntropy(net->Forward(images, /*training=*/true), labels);
+    return net->Backward(loss.grad_logits);
+  };
+  const Tensor images = Tensor::RandomGaussian(Shape({4, 3, 32, 32}), &rng);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(step(&skip->network, images).shape(), Shape({}));
+    EXPECT_EQ(step(&full->network, images).shape(), images.shape());
+    const std::vector<Tensor*> skipped = skip->network.Gradients();
+    const std::vector<Tensor*> computed = full->network.Gradients();
+    ASSERT_EQ(skipped.size(), computed.size());
+    for (size_t i = 0; i < skipped.size(); ++i) {
+      ASSERT_EQ(skipped[i]->shape(), computed[i]->shape());
+      EXPECT_EQ(std::memcmp(skipped[i]->data(), computed[i]->data(),
+                            sizeof(float) * static_cast<size_t>(
+                                                skipped[i]->num_elements())),
+                0)
+          << "gradient " << i << " at step " << s;
+    }
+  }
+
+  // MACs follow what ran: conv1's backward is dW alone, NKM executed
+  // against an NKM baseline, where the twin's adds dX to both.
+  if (GetParam() == ConvPath::kDense) return;
+  const double nkm = conv1->ForwardMacs(4);
+  const ReuseLayerStats& without_dx = *conv1->GetReuseStats();
+  const ReuseLayerStats& with_dx = *full->network.layer(0)->GetReuseStats();
+  EXPECT_EQ(without_dx.macs_baseline, 2 * (nkm + nkm));
+  EXPECT_EQ(with_dx.macs_baseline, 2 * (nkm + 2 * nkm));
+  EXPECT_LT(without_dx.macs_executed, with_dx.macs_executed);
+  if (GetParam() == ConvPath::kReuseCache) {
+    EXPECT_GT(without_dx.clusters_reused, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, FirstLayerInputGradTest,
+                         ::testing::Values(ConvPath::kDense, ConvPath::kReuse,
+                                           ConvPath::kReuseCache),
+                         [](const ::testing::TestParamInfo<ConvPath>& info) {
+                           switch (info.param) {
+                             case ConvPath::kDense:
+                               return "Dense";
+                             case ConvPath::kReuse:
+                               return "Reuse";
+                             case ConvPath::kReuseCache:
+                               return "ReuseCache";
+                           }
+                           return "?";
+                         });
 
 }  // namespace
 }  // namespace adr

@@ -477,6 +477,8 @@ TEST(ParallelDeterminismTest, CifarNetTrainStepBitIdenticalAcrossThreadCounts) {
     Result<Model> model = BuildModel("cifarnet", options);
     ADR_CHECK(model.ok());
     Network& network = model->network;
+    // Network::Add turned the first conv's input gradient off; keep it.
+    network.layer(0)->set_needs_input_grad(true);
     Adam adam(0.002f);
     StepOutput out;
     const LossResult loss = SoftmaxCrossEntropy(
@@ -492,6 +494,7 @@ TEST(ParallelDeterminismTest, CifarNetTrainStepBitIdenticalAcrossThreadCounts) {
     const StepOutput result = run(threads);
     EXPECT_EQ(std::memcmp(&result.loss, &reference.loss, sizeof(double)), 0)
         << "loss with " << threads << " threads";
+    ASSERT_EQ(result.grad_input.shape(), images.shape());
     ExpectBitIdentical(result.grad_input, reference.grad_input, "grad_input",
                        threads);
     ASSERT_EQ(result.params.size(), reference.params.size());

@@ -64,6 +64,31 @@ TEST_F(StrategiesTest, BaselineLearnsTheTask) {
   EXPECT_FALSE(result->eval_history.empty());
 }
 
+// The baseline counts the conv MACs that run: per step the forward and
+// dW of every conv, and dX of all but the first, whose input gradient
+// feeds nothing; per eval batch the forward.
+TEST_F(StrategiesTest, BaselineCountsNoInputGradientForTheFirstConv) {
+  const SyntheticImageDataset dataset = MakeDataset();
+  TrainingRunOptions options = FastRun();
+  options.max_steps = 3;
+  options.eval_every = 3;
+  options.target_accuracy = 2.0;  // never reached: all 3 steps run
+  auto result = RunTrainingStrategy(StrategyKind::kBaseline, "cifarnet",
+                                    SmallModel(), dataset, options);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->steps_run, 3);
+  auto model = BuildModel("cifarnet", SmallModel());
+  ASSERT_TRUE(model.ok());
+  ASSERT_EQ(model->conv_layers.size(), 2u);
+  const double conv1 = model->conv_layers[0]->ForwardMacs(options.batch_size);
+  const double conv2 = model->conv_layers[1]->ForwardMacs(options.batch_size);
+  const double eval_batches = options.eval_samples / options.batch_size;
+  EXPECT_DOUBLE_EQ(result->conv_macs_executed,
+                   3 * (2 * conv1 + 3 * conv2) +
+                       eval_batches * (conv1 + conv2));
+  EXPECT_DOUBLE_EQ(result->conv_macs_baseline, result->conv_macs_executed);
+}
+
 TEST_F(StrategiesTest, Strategy1FixedReuseLearnsAndSaves) {
   const SyntheticImageDataset dataset = MakeDataset();
   auto result = RunTrainingStrategy(StrategyKind::kFixed, "cifarnet",
